@@ -22,7 +22,9 @@
 #                             # honest-row violations, lost detections,
 #                             # certified-bound regressions beyond
 #                             # --tolerance, and shrunken Bonferroni cell
-#                             # counts all fail CI) /
+#                             # counts all fail CI) plus a transcript
+#                             # check (the fixed-seed landscape must equal
+#                             # the committed file byte for byte) /
 #                             # bench_mutation_serving /
 #                             # bench_two_hop_kernels with their output
 #                             # wired into the checked-in BENCH JSONs
@@ -36,7 +38,9 @@
 #                             # make bench_fault_matrix --audit refuse
 #                             # and exit non-zero), then the real
 #                             # audited-degradation gate refreshing
-#                             # BENCH_fault_matrix.json
+#                             # BENCH_fault_matrix.json once its
+#                             # audited_* sections match the committed
+#                             # ones exactly
 #   ci/sanitize.sh --durability # additionally the crash-safety suites
 #                             # (`durability` label: WAL, budget ledger,
 #                             # checkpoint/recovery, DP-audited recovery,
@@ -47,6 +51,7 @@
 #                             # bench_fault_matrix exit non-zero), then
 #                             # the audited-recovery gate refreshing the
 #                             # recovery rows in BENCH_fault_matrix.json
+#                             # (same audited_* transcript check)
 #   ci/sanitize.sh --native   # additionally a PRIVREC_NATIVE_ARCH=ON
 #                             # (-march=native) smoke build running the
 #                             # kernel differential + incremental suites,
@@ -55,6 +60,49 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Fixed-seed audit transcripts must not move: the audited_degradation and
+# audited_recovery sections of a fresh `bench_fault_matrix --audit` JSON
+# ($1) must equal the committed BENCH_fault_matrix.json's exactly (the
+# timing sections around them are free to vary). Prints a diff and fails
+# otherwise.
+check_fault_audit_transcript() {
+  python3 - "$1" <<'PY'
+import difflib
+import json
+import sys
+
+fresh = json.load(open(sys.argv[1]))
+committed = json.load(open("BENCH_fault_matrix.json"))
+same = True
+for key in ("audited_degradation", "audited_recovery"):
+    want = json.dumps(committed.get(key), indent=2).splitlines()
+    got = json.dumps(fresh.get(key), indent=2).splitlines()
+    if want != got:
+        same = False
+        print(f"{key} differs from the committed BENCH_fault_matrix.json:",
+              file=sys.stderr)
+        for line in difflib.unified_diff(want, got, "committed", "fresh",
+                                         lineterm=""):
+            print(line, file=sys.stderr)
+sys.exit(0 if same else 1)
+PY
+}
+
+# Runs the audited fault matrix into a temp file, checks its audit
+# transcript against the committed artifact, and only then refreshes it.
+refresh_fault_matrix() {
+  local fresh
+  fresh="$(mktemp)"
+  ./build/bench_fault_matrix --audit --json="$fresh"
+  if ! check_fault_audit_transcript "$fresh"; then
+    echo "fault audit transcript check FAILED: fixed-seed audited rows moved" >&2
+    rm -f "$fresh"
+    exit 1
+  fi
+  echo "fault audit transcript check OK (audited_* rows reproduced exactly)"
+  mv "$fresh" BENCH_fault_matrix.json
+}
 
 run_asan=0
 run_audit=0
@@ -144,14 +192,25 @@ if [[ "$run_audit" == "1" ]]; then
     exit 1
   fi
   echo "audit gate self-test OK (uncapped projection detected)"
-  echo "=== [default] bench_audit_landscape -> BENCH_audit_landscape.json ==="
+  echo "=== [default] bench_audit_landscape vs BENCH_audit_landscape.json ==="
   # Gate mode: the fresh landscape must not regress against the committed
   # artifact (honest rows stay clean, certified violations stay certified
-  # within --tolerance, Bonferroni cell counts never shrink) — and only
-  # then does it overwrite the artifact.
+  # within --tolerance, Bonferroni cell counts never shrink). Then the
+  # transcript check: at fixed seeds the landscape is a pure function of
+  # the code, so any byte that moved is a behaviour change to explain,
+  # not a refresh to take silently.
+  fresh_landscape="$(mktemp)"
   ./build/bench_audit_landscape --trials=4000 --pairs=3 \
     --baseline=BENCH_audit_landscape.json --tolerance=0.1 \
-    --json=BENCH_audit_landscape.json
+    --json="$fresh_landscape"
+  if ! diff -u BENCH_audit_landscape.json "$fresh_landscape"; then
+    echo "audit transcript check FAILED: the fixed-seed landscape differs" \
+      "from the committed BENCH_audit_landscape.json" >&2
+    rm -f "$fresh_landscape"
+    exit 1
+  fi
+  rm -f "$fresh_landscape"
+  echo "audit transcript check OK (landscape reproduced byte for byte)"
   echo "=== [default] bench_mutation_serving -> BENCH_mutation_serving.json ==="
   cmake --build --preset default -j "$(nproc)" --target bench_mutation_serving
   ./build/bench_mutation_serving --json=BENCH_mutation_serving.json
@@ -197,8 +256,9 @@ if [[ "$run_faults" == "1" ]]; then
   # The real gate: degradation matrix + overload ladder (budget exactness
   # checked in-binary) + one AuditPairUnderFaults per fault point; any
   # certified violation, audit error, or never-firing fault point exits
-  # non-zero, and only a clean run refreshes the checked-in artifact.
-  ./build/bench_fault_matrix --audit --json=BENCH_fault_matrix.json
+  # non-zero, and only a clean run whose audited_* rows reproduce the
+  # committed ones exactly refreshes the checked-in artifact.
+  refresh_fault_matrix
 fi
 
 if [[ "$run_durability" == "1" ]]; then
@@ -239,8 +299,9 @@ if [[ "$run_durability" == "1" ]]; then
   # the recovery perf rows (checkpoint write cost, WAL replay throughput,
   # recovery time vs journal-window size); any certified violation, audit
   # error, or never-firing crash point exits non-zero, and only a clean run
-  # refreshes the checked-in artifact.
-  ./build/bench_fault_matrix --audit --json=BENCH_fault_matrix.json
+  # whose audited_* rows reproduce the committed ones exactly refreshes the
+  # checked-in artifact.
+  refresh_fault_matrix
 fi
 
 if [[ "$run_native" == "1" ]]; then

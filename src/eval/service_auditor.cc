@@ -1,12 +1,10 @@
 #include "eval/service_auditor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -22,8 +20,8 @@
 namespace privrec {
 namespace {
 
-/// One identical mutation applied to both sides of a pair for the
-/// post-mutation path.
+/// One identical mutation applied to both sides of a pair (the
+/// post-mutation toggle and the common-slot toggles between trials).
 struct CommonToggle {
   NodeId a = 0;
   NodeId b = 0;
@@ -70,11 +68,10 @@ std::optional<CommonToggle> ChooseCommonToggle(const NeighboringPair& pair,
   return std::nullopt;
 }
 
-/// The one place audit-side ServiceOptions are built: every driver
-/// (per-path, cold per-trial, under-mutation) must configure the audited
-/// services identically — privacy model, degree cap, and the
-/// uncap_projection trip-wire included — or the audit would measure a
-/// service nobody deploys.
+/// The one place audit-side ServiceOptions are built: every scenario must
+/// configure the audited services identically — privacy model, degree
+/// cap, and the uncap_projection trip-wire included — or the audit would
+/// measure a service nobody deploys.
 ServiceOptions MakeAuditServiceOptions(const ServiceAuditOptions& options,
                                        size_t num_shards) {
   ServiceOptions service_options;
@@ -95,71 +92,15 @@ uint64_t DeriveSeed(uint64_t root, uint64_t path, uint64_t side) {
   return mixer.Next() ^ (side + 1);
 }
 
-/// DeriveSeed path id for the under-mutation audit (0–3 are the
-/// ServeAuditPath values; sides 0/1 = measurement streams, side 2 = the
-/// mirrored mutator's toggle/churn streams).
+/// DeriveSeed path ids of the scenario audits (0–3 are the ServeAuditPath
+/// values). Sides 0/1 are the measurement streams; the under-mutation
+/// audit's side 2 seeds the mirrored mutator's toggle/churn streams, and
+/// the across-recovery streams span the crash boundary (the recovered
+/// half continues where the pre-crash half stopped, identically on both
+/// sides).
 constexpr uint64_t kMutationPathId = 4;
-
-/// DeriveSeed path id for the under-faults audit (sides 0/1 = measurement
-/// streams).
 constexpr uint64_t kFaultPathId = 5;
-
-/// DeriveSeed path id for the across-recovery audit (sides 0/1 =
-/// measurement streams; each stream spans the crash boundary — the
-/// recovered half continues where the pre-crash half stopped, identically
-/// on both sides).
 constexpr uint64_t kRecoveryPathId = 6;
-
-/// One serve trial of the configured shape, recorded into `counts`
-/// (single) or `reduction` (list).
-Status RecordShapeTrial(RecommendationService& service, NodeId target,
-                        ServeAuditShape shape, size_t list_k, Rng& rng,
-                        std::map<NodeId, uint64_t>& counts,
-                        ListOutcomeReduction& reduction) {
-  if (shape == ServeAuditShape::kSingle) {
-    PRIVREC_ASSIGN_OR_RETURN(NodeId outcome,
-                             service.ServeForAudit(target, rng));
-    ++counts[outcome];
-    return Status::OK();
-  }
-  PRIVREC_ASSIGN_OR_RETURN(TopKResult list,
-                           service.ServeListForAudit(target, list_k, rng));
-  std::vector<uint32_t> items;
-  items.reserve(list.picks.size());
-  for (const Recommendation& pick : list.picks) {
-    items.push_back(static_cast<uint32_t>(pick.node));
-  }
-  reduction.AddList(items);
-  return Status::OK();
-}
-
-/// Builds the per-path estimate from whichever recorder the shape filled.
-PathEpsilonEstimate EstimateShape(
-    const std::string& path_name, ServeAuditShape shape,
-    const std::map<NodeId, uint64_t>& base_counts,
-    const std::map<NodeId, uint64_t>& neighbor_counts,
-    const ListOutcomeReduction& base_reduction,
-    const ListOutcomeReduction& neighbor_reduction, uint64_t trials,
-    double confidence, size_t bonferroni_override) {
-  if (shape == ServeAuditShape::kSingle) {
-    return EstimateEpsilonFromCounts(path_name, base_counts, neighbor_counts,
-                                     trials, confidence, bonferroni_override);
-  }
-  const EpsilonCellEstimate cells = EstimateEpsilonFromListReductions(
-      base_reduction, neighbor_reduction, confidence, bonferroni_override);
-  PathEpsilonEstimate estimate;
-  estimate.path = path_name;
-  estimate.trials_per_side = trials;
-  estimate.epsilon_hat = cells.epsilon_hat;
-  estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-  // Cell ids carry (position | item) or a sequence hash; the low 32 bits
-  // are the item for marginal cells, which is the most useful NodeId-sized
-  // projection for dashboards.
-  estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-  estimate.worst_z = cells.worst_z;
-  estimate.bonferroni_cells = cells.bonferroni_cells;
-  return estimate;
-}
 
 /// Largest-remainder apportionment of `total` trials across weights
 /// (deterministic: ties break to the lowest index). Zero/negative weight
@@ -196,106 +137,400 @@ std::vector<uint64_t> Apportion(uint64_t total, std::vector<double> weights) {
   return alloc;
 }
 
-/// One audited (path, pair) trial engine, both sides. Construction + Init
-/// reproduce the exact service arrangement the one-shot audit used
-/// (fresh graphs per path, warm-up discard, post-mutation toggle), but the
-/// trial loop is callable in slices so the adaptive allocator can keep
+/// A mirrored step (toggle, charged serve, checkpoint) may fail, but only
+/// identically on both sides: divergent ok-ness means the sides left their
+/// mirrored states, the one impossible state worth failing on.
+Status CheckMirrored(const char* what, const Status& base,
+                     const Status& neighbor) {
+  if (base.ok() == neighbor.ok()) return Status::OK();
+  return Status::Internal(std::string("mirrored ") + what + " diverged: '" +
+                          base.message() + "' vs '" + neighbor.message() +
+                          "'");
+}
+
+Status ValidatePair(const NeighboringPair& pair, NodeId target) {
+  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
+      pair.base.directed() != pair.neighbor.directed()) {
+    return Status::InvalidArgument(
+        "pair sides disagree on node count or direction");
+  }
+  if (target >= pair.base.num_nodes()) {
+    return Status::InvalidArgument("target out of range");
+  }
+  return Status::OK();
+}
+
+PathEpsilonEstimate ToPathEstimate(const std::string& path_name,
+                                   uint64_t trials,
+                                   const EpsilonCellEstimate& cells) {
+  PathEpsilonEstimate estimate;
+  estimate.path = path_name;
+  estimate.trials_per_side = trials;
+  estimate.epsilon_hat = cells.epsilon_hat;
+  estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
+  // List cell ids carry (position | item) or a sequence hash; the low 32
+  // bits are the item for marginal cells, which is the most useful
+  // NodeId-sized projection for dashboards.
+  estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
+  estimate.worst_z = cells.worst_z;
+  estimate.bonferroni_cells = cells.bonferroni_cells;
+  return estimate;
+}
+
+DpAuditResult AssembleResult(const NeighboringPair& pair,
+                             std::vector<PathEpsilonEstimate> estimates) {
+  DpAuditResult result;
+  result.pairs_checked = 1;
+  result.worst_edge_u = pair.u;
+  result.worst_edge_v = pair.v;
+  for (PathEpsilonEstimate& estimate : estimates) {
+    result.max_abs_log_ratio =
+        std::max(result.max_abs_log_ratio, estimate.epsilon_hat);
+    result.per_path.push_back(std::move(estimate));
+  }
+  return result;
+}
+
+/// What the trial loop does before each trial.
+enum class TrialHook {
+  /// Nothing: every trial hits the warm cached entry (cache_hit,
+  /// multi_shard).
+  kNone,
+  /// A fresh, unwarmed service per trial (cold).
+  kFreshService,
+  /// One mirrored common-slot toggle before the first trial
+  /// (post_mutation): invalidation, the Δf ratchet, sampler re-freeze.
+  kPostMutation,
+  /// MirroredMutator::RunPhase at the start of every round
+  /// (under_mutation). RunPhase joins its workers, so the round's trials
+  /// run against a settled, deterministic graph state.
+  kMutatorRounds,
+  /// `mutations_between_trials` mirrored common-slot toggles before every
+  /// trial (under_faults): the fault points that only arm under mutation
+  /// keep firing throughout the audit.
+  kParityToggles,
+  /// kParityToggles plus, before trial trials/2, a mid-audit checkpoint
+  /// attempt, a simulated process death and recovery of both sides
+  /// (across_recovery).
+  kCrashRecover,
+};
+
+/// How trial outcomes are keyed. A keyed single outcome lands in cell
+/// (phase+1)<<32 | outcome, a keyed list in its phase's own reduction.
+/// The phase is public schedule, and within a phase the two sides sit in
+/// identical-except-pair states, so every keyed cell of an honest service
+/// is e^ε-bounded. Pooling phases instead would average the per-state
+/// ratios — a mis-calibrated service whose leak peaks in some graph states
+/// would hide behind the states where it happens not to leak.
+enum class PhaseKey {
+  kNone,
+  /// The mutator round. Rounds run equal trial counts: that is what makes
+  /// the pooled counts a sound mixture.
+  kRound,
+  /// The common slot's toggle parity: the slot cycles the graph state with
+  /// period 2, and at equal parity the two sides are neighbors.
+  kParity,
+};
+
+/// One audited serve path or traffic shape: everything the trial loop
+/// needs beyond ServiceAuditOptions.
+struct AuditScenario {
+  /// DpAuditResult::per_path name.
+  std::string name;
+  /// DeriveSeed path id of the two measurement streams.
+  uint64_t path_id = 0;
+  size_t num_shards = 1;
+  TrialHook hook = TrialHook::kNone;
+  PhaseKey phase_key = PhaseKey::kNone;
+  /// kRound: equal-length rounds the trials split into.
+  uint64_t rounds = 1;
+  /// Fewest trials per side the schedule can run: one per round, or one
+  /// on each side of the crash.
+  uint64_t min_trials = 1;
+  /// Trials per side the scenario runs (RunScenario fills it; AuditPair's
+  /// paths run in adaptive slices and leave it 0).
+  uint64_t trials = 0;
+  /// Edge-delta journal capacity of both sides' graphs (0 = default).
+  size_t journal_capacity = 0;
+  /// Installed IDENTICALLY on both sides' injectors after warm-up; null
+  /// runs the services without an injector.
+  const FaultPlan* plan = nullptr;
+  RetryPolicy retry;
+  uint64_t mutations_between_trials = 0;
+  const MutationAuditOptions* mutation = nullptr;  // kMutatorRounds
+  const RecoveryAuditOptions* recovery = nullptr;  // kCrashRecover
+};
+
+AuditScenario PathScenario(ServeAuditPath path,
+                           const ServiceAuditOptions& options) {
+  AuditScenario scenario;
+  scenario.name = ServeAuditPathName(path);
+  scenario.path_id = static_cast<uint64_t>(path);
+  if (path == ServeAuditPath::kMultiShard) {
+    scenario.num_shards = options.multi_shard_count;
+  }
+  if (path == ServeAuditPath::kCold) scenario.hook = TrialHook::kFreshService;
+  if (path == ServeAuditPath::kPostMutation) {
+    scenario.hook = TrialHook::kPostMutation;
+  }
+  return scenario;
+}
+
+/// The under-faults and across-recovery scenarios: two shards, a mirrored
+/// plan and retry policy, common-slot toggles keyed by parity.
+template <typename FaultOptions>
+AuditScenario ParityScenario(std::string name, uint64_t path_id,
+                             TrialHook hook, const FaultOptions& faults) {
+  AuditScenario scenario;
+  scenario.name = std::move(name);
+  scenario.path_id = path_id;
+  scenario.num_shards = 2;
+  scenario.hook = hook;
+  scenario.phase_key = PhaseKey::kParity;
+  scenario.journal_capacity = faults.journal_capacity;
+  scenario.plan = &faults.plan;
+  scenario.retry = faults.retry;
+  scenario.mutations_between_trials = faults.mutations_between_trials;
+  return scenario;
+}
+
+/// The one two-sided trial loop: stands up both sides of a neighboring
+/// pair, warms them, and drives both through the scenario's schedule,
+/// recording every trial into one recorder and estimating from it. The
+/// trials are callable in slices so the adaptive allocator can keep
 /// spending on the path whose intervals are widest — RNG streams and
 /// service state persist across slices, so (seed → transcript) stays a
 /// pure function no matter how the budget lands.
-class PathTrialDriver {
+class TrialLoop {
  public:
-  PathTrialDriver(const ServiceAuditor::UtilityFactory& factory,
-                  const ServiceAuditOptions& options,
-                  const NeighboringPair& pair, NodeId target,
-                  ServeAuditPath path)
+  TrialLoop(const ServiceAuditor::UtilityFactory& factory,
+            const ServiceAuditOptions& options, const NeighboringPair& pair,
+            NodeId target, AuditScenario scenario)
       : factory_(factory),
         options_(options),
         pair_(pair),
         target_(target),
-        path_(path) {}
+        scenario_(std::move(scenario)) {}
 
   Status Init() {
-    if (path_ == ServeAuditPath::kPostMutation) {
+    const bool parity_toggles = scenario_.hook == TrialHook::kParityToggles ||
+                                scenario_.hook == TrialHook::kCrashRecover;
+    if (scenario_.hook == TrialHook::kPostMutation ||
+        (parity_toggles && scenario_.mutations_between_trials > 0)) {
       toggle_ = ChooseCommonToggle(pair_, target_);
       if (!toggle_.has_value()) {
         return Status::FailedPrecondition(
-            "no common edge slot available for the post-mutation toggle");
+            "no common edge slot available for the " + scenario_.name +
+            " toggles");
+      }
+      present_ = toggle_->present;
+      toggles_alive_ = true;
+    }
+    for (int side = 0; side < 2; ++side) {
+      Side& state = sides_[side];
+      state.rng = Rng(DeriveSeed(options_.seed, scenario_.path_id,
+                                 static_cast<uint64_t>(side)));
+      if (scenario_.recovery == nullptr) continue;
+      // Durable state, wiped on entry so a fixed seed reproduces the audit
+      // byte for byte.
+      state.dir =
+          scenario_.recovery->state_dir + "/side" + std::to_string(side);
+      std::error_code ec;
+      std::filesystem::remove_all(state.dir, ec);
+      std::filesystem::create_directories(state.dir, ec);
+      if (ec) {
+        return Status::IOError("cannot create audit state dir '" + state.dir +
+                               "'");
       }
     }
     for (int side = 0; side < 2; ++side) {
-      SideState& state = sides_[side];
-      const CsrGraph& side_graph = side == 0 ? pair_.base : pair_.neighbor;
-      // Each (path, side) owns a fresh dynamic graph: the post-mutation
-      // path mutates it, and cross-path state bleed would make the audit
-      // depend on path order.
-      state.graph = std::make_unique<DynamicGraph>(side_graph);
-      const ServiceOptions service_options = MakeAuditServiceOptions(
-          options_,
-          path_ == ServeAuditPath::kMultiShard ? options_.multi_shard_count
-                                               : 1);
-      state.rng = Rng(DeriveSeed(options_.seed, static_cast<uint64_t>(path_),
-                                 static_cast<uint64_t>(side)));
-      if (path_ == ServeAuditPath::kCold) continue;
-      state.service = std::make_unique<RecommendationService>(
-          state.graph.get(), factory_(), service_options);
-      // Warm the cache so the sampled trials sit on the path under audit
-      // (the warm-up draw itself is the cold path; discard it).
-      PRIVREC_RETURN_NOT_OK(Warmup(state));
-      if (path_ == ServeAuditPath::kPostMutation) {
-        const Status mutated =
-            toggle_->present
-                ? state.service->RemoveEdge(toggle_->a, toggle_->b)
-                : state.service->AddEdge(toggle_->a, toggle_->b);
-        PRIVREC_RETURN_NOT_OK(mutated);
+      Side& state = sides_[side];
+      // Each side owns a fresh dynamic graph: hooks mutate it, and state
+      // shared across paths would make the audit depend on path order.
+      state.graph = std::make_unique<DynamicGraph>(side == 0 ? pair_.base
+                                                             : pair_.neighbor);
+      if (scenario_.journal_capacity > 0) {
+        state.graph->SetJournalCapacity(scenario_.journal_capacity);
       }
+      if (scenario_.recovery != nullptr) {
+        WalOptions wal_options;
+        wal_options.fault_injector = &state.injector;
+        PRIVREC_ASSIGN_OR_RETURN(
+            state.wal, WriteAheadLog::Open(state.dir + "/wal", wal_options));
+        LedgerOptions ledger_options;
+        ledger_options.fault_injector = &state.injector;
+        PRIVREC_ASSIGN_OR_RETURN(
+            state.ledger,
+            BudgetLedger::Open(state.dir + "/ledger", ledger_options));
+      }
+      if (scenario_.hook == TrialHook::kFreshService) continue;
+      BuildService(state);
+      if (scenario_.recovery != nullptr) {
+        // Initial checkpoint BEFORE the plan is armed: recovery always has
+        // an authoritative manifest to start from, whatever the plan
+        // breaks.
+        PRIVREC_RETURN_NOT_OK(
+            state.service->SaveCheckpoint(CheckpointDir(state)));
+      }
+      // Warm the cache (and the plan is armed only after this) so the
+      // sampled trials sit on the cached-entry path under audit.
+      PRIVREC_RETURN_NOT_OK(Warmup(state));
+    }
+    if (scenario_.plan != nullptr) {
+      for (Side& state : sides_) state.injector.Install(*scenario_.plan);
+    }
+    if (scenario_.recovery != nullptr) {
+      // Charged pre-crash traffic: the serves the durable ledger must
+      // survive. A refusal is budget-neutral, so only mirrored ok-ness is
+      // required.
+      for (uint64_t i = 0; i < scenario_.recovery->charged_serves_per_side;
+           ++i) {
+        Status charged[2];
+        for (int side = 0; side < 2; ++side) {
+          charged[side] = sides_[side]
+                              .service->ServeRecommendation(target_,
+                                                            sides_[side].rng)
+                              .status();
+        }
+        PRIVREC_RETURN_NOT_OK(
+            CheckMirrored("charged serves", charged[0], charged[1]));
+      }
+      for (Side& state : sides_) {
+        state.pre_crash_charged =
+            PerUserBudget() - state.service->RemainingBudget(target_);
+      }
+    }
+    if (scenario_.hook == TrialHook::kMutatorRounds) {
+      const MutationAuditOptions& mutation = *scenario_.mutation;
+      MirroredMutatorOptions mutator_options;
+      mutator_options.num_threads = mutation.mutator_threads;
+      mutator_options.toggles_per_thread =
+          mutation.toggles_per_thread_per_round;
+      mutator_options.churn_serves_per_thread =
+          mutation.churn_serves_per_thread_per_round;
+      mutator_options.seed = DeriveSeed(options_.seed, scenario_.path_id, 2);
+      mutator_ = std::make_unique<MirroredMutator>(
+          sides_[0].service.get(), sides_[1].service.get(), pair_.base,
+          target_, pair_.u, pair_.v, mutator_options);
     }
     return Status::OK();
   }
 
   Status RunTrials(uint64_t n) {
-    for (int side = 0; side < 2; ++side) {
-      SideState& state = sides_[side];
-      for (uint64_t t = 0; t < n; ++t) {
-        if (path_ == ServeAuditPath::kCold) {
-          RecommendationService service(state.graph.get(), factory_(),
-                                        MakeAuditServiceOptions(options_, 1));
-          PRIVREC_RETURN_NOT_OK(
-              RecordShapeTrial(service, target_, options_.shape,
-                               options_.list_k, state.rng, state.counts,
-                               state.reduction));
-          continue;
-        }
-        PRIVREC_RETURN_NOT_OK(
-            RecordShapeTrial(*state.service, target_, options_.shape,
-                             options_.list_k, state.rng, state.counts,
-                             state.reduction));
+    for (uint64_t i = 0; i < n; ++i, ++trials_done_) {
+      PRIVREC_RETURN_NOT_OK(BeforeTrial(trials_done_));
+      const uint64_t phase = PhaseOf(trials_done_);
+      for (Side& state : sides_) {
+        PRIVREC_RETURN_NOT_OK(RecordTrial(state, phase));
       }
     }
-    trials_done_ += n;
     return Status::OK();
   }
 
-  uint64_t trials_done() const { return trials_done_; }
-
+  /// One estimator for every scenario. List phases share one Bonferroni
+  /// budget: first total the cells every phase contributes, then
+  /// re-estimate each phase at that shared correction and keep the worst
+  /// (a single phase is exactly the plain list estimate).
   PathEpsilonEstimate Estimate(double confidence) const {
-    return EstimateShape(ServeAuditPathName(path_), options_.shape,
-                         sides_[0].counts, sides_[1].counts,
-                         sides_[0].reduction, sides_[1].reduction,
-                         trials_done_, confidence,
-                         options_.bonferroni_cells_override);
+    const size_t override_cells = options_.bonferroni_cells_override;
+    if (options_.shape == ServeAuditShape::kSingle) {
+      return ToPathEstimate(
+          scenario_.name, trials_done_,
+          EstimateEpsilonFromOutcomeCells(sides_[0].cells, sides_[1].cells,
+                                          trials_done_, confidence,
+                                          override_cells,
+                                          /*include_complements=*/false));
+    }
+    size_t total_cells = override_cells;
+    if (total_cells == 0) {
+      for (const auto& [phase, base] : sides_[0].reductions) {
+        total_cells += EstimateEpsilonFromListReductions(
+                           base, sides_[1].reductions.at(phase), confidence)
+                           .bonferroni_cells;
+      }
+    }
+    EpsilonCellEstimate worst;
+    for (const auto& [phase, base] : sides_[0].reductions) {
+      const EpsilonCellEstimate cells = EstimateEpsilonFromListReductions(
+          base, sides_[1].reductions.at(phase), confidence, total_cells);
+      if (cells.epsilon_hat > worst.epsilon_hat) {
+        worst.epsilon_hat = cells.epsilon_hat;
+        worst.worst_cell = cells.worst_cell;
+      }
+      worst.epsilon_lower_bound =
+          std::max(worst.epsilon_lower_bound, cells.epsilon_lower_bound);
+      worst.worst_z = std::max(worst.worst_z, cells.worst_z);
+    }
+    worst.bonferroni_cells = total_cells;
+    return ToPathEstimate(scenario_.name, trials_done_, worst);
+  }
+
+  /// Summed stats of every service the loop ran, pre-crash ones included.
+  ServiceStats stats() const {
+    ServiceStats total = pre_crash_stats_;
+    for (const Side& state : sides_) {
+      if (state.service != nullptr) total += state.service->stats();
+    }
+    return total;
+  }
+
+  /// The determinism contract made observable: mirrored plans driven by
+  /// mirrored call sequences must have fired identically.
+  void CheckMirroredFires() const {
+    PRIVREC_CHECK_EQ(sides_[0].injector.total_fires(),
+                     sides_[1].injector.total_fires());
   }
 
  private:
-  struct SideState {
+  /// Declaration order is teardown order in reverse: services reference
+  /// graphs, graphs reference WALs, all of them reference the injector.
+  struct Side {
+    FaultInjector injector;
+    std::string dir;  // durable state (across_recovery only)
+    std::unique_ptr<WriteAheadLog> wal;
+    std::unique_ptr<BudgetLedger> ledger;
     std::unique_ptr<DynamicGraph> graph;
-    std::unique_ptr<RecommendationService> service;  // null for cold
+    std::unique_ptr<RecommendationService> service;
     Rng rng{0};
-    std::map<NodeId, uint64_t> counts;
-    ListOutcomeReduction reduction;
+    double pre_crash_charged = 0;
+    OutcomeCellCounts cells;
+    std::map<uint64_t, ListOutcomeReduction> reductions;  // by phase
   };
 
-  Status Warmup(SideState& state) {
+  static std::string CheckpointDir(const Side& state) {
+    return state.dir + "/ckpt";
+  }
+
+  /// Headroom for the charged pre-crash traffic: the audit serves
+  /// themselves stay budget-neutral, but the charged serves must fit.
+  double PerUserBudget() const {
+    return options_.release_epsilon *
+           static_cast<double>(scenario_.recovery->charged_serves_per_side +
+                               1);
+  }
+
+  void BuildService(Side& state) {
+    ServiceOptions service_options =
+        MakeAuditServiceOptions(options_, scenario_.num_shards);
+    service_options.retry = scenario_.retry;
+    if (scenario_.plan != nullptr) {
+      service_options.fault_injector = &state.injector;
+    }
+    if (scenario_.recovery != nullptr) {
+      service_options.per_user_budget = PerUserBudget();
+      service_options.wal = state.wal.get();
+      service_options.budget_ledger = state.ledger.get();
+    }
+    // Destroy before building: a cold trial's service never coexists with
+    // its predecessor.
+    state.service.reset();
+    state.service = std::make_unique<RecommendationService>(
+        state.graph.get(), factory_(), service_options);
+  }
+
+  /// One discarded serve of the configured shape (it is itself the cold
+  /// path).
+  Status Warmup(Side& state) {
     if (options_.shape == ServeAuditShape::kSingle) {
       return state.service->ServeForAudit(target_, state.rng).status();
     }
@@ -304,41 +539,218 @@ class PathTrialDriver {
         .status();
   }
 
+  Status BeforeTrial(uint64_t t) {
+    switch (scenario_.hook) {
+      case TrialHook::kNone:
+        return Status::OK();
+      case TrialHook::kFreshService:
+        for (Side& state : sides_) BuildService(state);
+        return Status::OK();
+      case TrialHook::kPostMutation:
+        return t == 0 ? MirroredToggle() : Status::OK();
+      case TrialHook::kMutatorRounds:
+        if (t % RoundLength() == 0) mutator_->RunPhase();
+        return Status::OK();
+      case TrialHook::kCrashRecover:
+        if (t == scenario_.trials / 2) {
+          PRIVREC_RETURN_NOT_OK(CrashAndRecover());
+        }
+        [[fallthrough]];
+      case TrialHook::kParityToggles:
+        for (uint64_t m = 0;
+             toggles_alive_ && m < scenario_.mutations_between_trials; ++m) {
+          PRIVREC_RETURN_NOT_OK(MirroredToggle());
+        }
+        return Status::OK();
+    }
+    return Status::OK();
+  }
+
+  uint64_t RoundLength() const { return scenario_.trials / scenario_.rounds; }
+
+  uint64_t PhaseOf(uint64_t t) const {
+    switch (scenario_.phase_key) {
+      case PhaseKey::kNone:
+        return 0;
+      case PhaseKey::kRound:
+        return t / RoundLength();
+      case PhaseKey::kParity:
+        return toggle_.has_value() && present_ != toggle_->present ? 1 : 0;
+    }
+    return 0;
+  }
+
+  /// One serve trial of the configured shape, recorded under `phase`.
+  Status RecordTrial(Side& state, uint64_t phase) {
+    if (options_.shape == ServeAuditShape::kSingle) {
+      PRIVREC_ASSIGN_OR_RETURN(
+          NodeId outcome, state.service->ServeForAudit(target_, state.rng));
+      const uint64_t cell = static_cast<uint64_t>(outcome);
+      ++state.cells[scenario_.phase_key == PhaseKey::kNone
+                        ? cell
+                        : ((phase + 1) << 32) | cell];
+      return Status::OK();
+    }
+    PRIVREC_ASSIGN_OR_RETURN(
+        TopKResult list,
+        state.service->ServeListForAudit(target_, options_.list_k, state.rng));
+    std::vector<uint32_t> items;
+    items.reserve(list.picks.size());
+    for (const Recommendation& pick : list.picks) {
+      items.push_back(static_cast<uint32_t>(pick.node));
+    }
+    state.reductions[phase].AddList(items);
+    return Status::OK();
+  }
+
+  /// One identical toggle of the common slot on both sides.
+  Status MirroredToggle() {
+    Status toggled[2];
+    for (int side = 0; side < 2; ++side) {
+      RecommendationService& service = *sides_[side].service;
+      toggled[side] = present_ ? service.RemoveEdge(toggle_->a, toggle_->b)
+                               : service.AddEdge(toggle_->a, toggle_->b);
+    }
+    PRIVREC_RETURN_NOT_OK(CheckMirrored("toggles", toggled[0], toggled[1]));
+    if (!toggled[0].ok()) {
+      if (scenario_.hook != TrialHook::kCrashRecover) return toggled[0];
+      // A torn WAL rejects mutations until recovery opens a fresh one; the
+      // schedule freezes SYMMETRICALLY (equal plans fire equally), keeping
+      // the parity cells sound.
+      toggles_alive_ = false;
+      return Status::OK();
+    }
+    present_ = !present_;
+    return Status::OK();
+  }
+
+  Status CrashAndRecover() {
+    // Mid-audit checkpoint attempt, faults still armed: under
+    // kCheckpointCrash this dies before the manifest commit (on both sides
+    // identically) and the initial checkpoint stays authoritative.
+    Status saved[2];
+    for (int side = 0; side < 2; ++side) {
+      saved[side] =
+          sides_[side].service->SaveCheckpoint(CheckpointDir(sides_[side]));
+    }
+    PRIVREC_RETURN_NOT_OK(CheckMirrored("checkpoints", saved[0], saved[1]));
+
+    // ---- The crash. ----
+    CheckMirroredFires();
+    pre_crash_stats_ = stats();
+    for (Side& state : sides_) {
+      state.wal->SimulateCrash();
+      state.ledger->SimulateCrash();
+    }
+    // Teardown order mirrors ownership: services reference graphs, graphs
+    // reference WALs.
+    for (Side& state : sides_) state.service.reset();
+    for (Side& state : sides_) state.graph.reset();
+    for (Side& state : sides_) {
+      state.wal.reset();
+      state.ledger.reset();
+    }
+    // Post-recovery runs clean; the fire counts above are already folded
+    // into pre_crash_stats_.
+    for (Side& state : sides_) state.injector.Clear();
+
+    // ---- Recovery: WAL replay past the authoritative checkpoint,
+    // accountants reseeded from the recovered ledger. ----
+    for (int side = 0; side < 2; ++side) {
+      Side& state = sides_[side];
+      PRIVREC_ASSIGN_OR_RETURN(state.wal,
+                               WriteAheadLog::Open(state.dir + "/wal"));
+      RecoveryReport report;
+      PRIVREC_ASSIGN_OR_RETURN(
+          state.graph, RecoverGraph(CheckpointDir(state), *state.wal, &report));
+      if (scenario_.journal_capacity > 0) {
+        state.graph->SetJournalCapacity(scenario_.journal_capacity);
+      }
+      PRIVREC_ASSIGN_OR_RETURN(state.ledger,
+                               BudgetLedger::Open(state.dir + "/ledger"));
+      const std::unordered_map<NodeId, double> recovered_spend =
+          state.ledger->SpentByUser();
+      auto it = recovered_spend.find(target_);
+      const double recovered = it == recovered_spend.end() ? 0.0 : it->second;
+      if (recovered + 1e-9 < state.pre_crash_charged) {
+        // The one unrecoverable state: durable spend below what was
+        // charged in memory means a charge was lost (torn ledger append).
+        // Refusing is the only sound posture — certifying would launder
+        // the loss.
+        return Status::FailedPrecondition(
+            "budget ledger unrecoverable on side " + std::to_string(side) +
+            ": recovered spend " + std::to_string(recovered) +
+            " < pre-crash charged " + std::to_string(state.pre_crash_charged) +
+            " — refusing to certify across this recovery");
+      }
+      BuildService(state);
+      state.service->ImportSpentBudgets(recovered_spend);
+      PRIVREC_RETURN_NOT_OK(Warmup(state));
+    }
+    // Re-derive the parity anchor from the RECOVERED graphs: recovery is
+    // exact, so both sides must agree — and agree with the pre-crash
+    // schedule.
+    if (toggle_.has_value()) {
+      bool recovered_present[2];
+      for (int side = 0; side < 2; ++side) {
+        recovered_present[side] =
+            sides_[side].graph->VersionedSnapshot().graph->HasEdge(
+                toggle_->a, toggle_->b);
+      }
+      if (recovered_present[0] != recovered_present[1]) {
+        return Status::Internal(
+            "recovered sides disagree on the common toggle slot");
+      }
+      if (recovered_present[0] != present_) {
+        return Status::Internal(
+            "recovered graph state disagrees with the pre-crash toggle "
+            "schedule");
+      }
+      toggles_alive_ = true;  // fresh WAL: toggles flow again
+    }
+    return Status::OK();
+  }
+
   const ServiceAuditor::UtilityFactory& factory_;
   const ServiceAuditOptions& options_;
   const NeighboringPair& pair_;
   NodeId target_;
-  ServeAuditPath path_;
+  AuditScenario scenario_;
   std::optional<CommonToggle> toggle_;
-  SideState sides_[2];
+  bool present_ = false;
+  bool toggles_alive_ = false;
+  Side sides_[2];
+  std::unique_ptr<MirroredMutator> mutator_;  // kMutatorRounds
+  ServiceStats pre_crash_stats_;
   uint64_t trials_done_ = 0;
 };
 
-ServiceStats SumStats(const ServiceStats& a, const ServiceStats& b) {
-  ServiceStats sum = a;
-  sum.served += b.served;
-  sum.refused_budget += b.refused_budget;
-  sum.cache_hits += b.cache_hits;
-  sum.cache_misses += b.cache_misses;
-  sum.cache_invalidations += b.cache_invalidations;
-  sum.sampler_reuses += b.sampler_reuses;
-  sum.audit_serves += b.audit_serves;
-  sum.audit_list_serves += b.audit_list_serves;
-  sum.delta_kept += b.delta_kept;
-  sum.delta_patched += b.delta_patched;
-  sum.delta_recomputed += b.delta_recomputed;
-  sum.journal_fallbacks += b.journal_fallbacks;
-  sum.doomed_evictions += b.doomed_evictions;
-  sum.filter_dropped_deltas += b.filter_dropped_deltas;
-  sum.repair_ns += b.repair_ns;
-  sum.refused_window += b.refused_window;
-  sum.degraded_serves += b.degraded_serves;
-  sum.window_refreshes += b.window_refreshes;
-  sum.shed_overload += b.shed_overload;
-  sum.retries += b.retries;
-  sum.stale_fallback_serves += b.stale_fallback_serves;
-  sum.injected_faults += b.injected_faults;
-  return sum;
+/// What every scenario audit runs: one loop over
+/// options.trials_per_side trials, one estimate.
+Result<DpAuditResult> RunScenario(const ServiceAuditor::UtilityFactory& factory,
+                                  const ServiceAuditOptions& options,
+                                  const NeighboringPair& pair, NodeId target,
+                                  AuditScenario scenario,
+                                  ServiceStats* stats_out) {
+  PRIVREC_RETURN_NOT_OK(ValidatePair(pair, target));
+  // One trial-count rule: a schedule needs a trial in every phase it must
+  // fill (each round; each side of the crash). Fewer is refused, never
+  // padded into an audit of trials nobody asked for.
+  if (options.trials_per_side < scenario.min_trials) {
+    return Status::InvalidArgument(
+        "trials_per_side must be at least " +
+        std::to_string(scenario.min_trials) + " for the " + scenario.name +
+        " audit");
+  }
+  const uint64_t trials =
+      options.trials_per_side / scenario.rounds * scenario.rounds;
+  scenario.trials = trials;
+  TrialLoop loop(factory, options, pair, target, std::move(scenario));
+  PRIVREC_RETURN_NOT_OK(loop.Init());
+  PRIVREC_RETURN_NOT_OK(loop.RunTrials(trials));
+  loop.CheckMirroredFires();
+  if (stats_out != nullptr) *stats_out = loop.stats();
+  return AssembleResult(pair, {loop.Estimate(options.confidence)});
 }
 
 }  // namespace
@@ -360,18 +772,11 @@ PathEpsilonEstimate EstimateEpsilonFromCounts(
   for (const auto& [node, count] : neighbor_counts) {
     neighbor_cells[static_cast<uint64_t>(node)] = count;
   }
-  const EpsilonCellEstimate cells = EstimateEpsilonFromOutcomeCells(
-      base_cells, neighbor_cells, trials, confidence, bonferroni_override,
-      /*include_complements=*/false);
-  PathEpsilonEstimate estimate;
-  estimate.path = path_name;
-  estimate.trials_per_side = trials;
-  estimate.epsilon_hat = cells.epsilon_hat;
-  estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-  estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-  estimate.worst_z = cells.worst_z;
-  estimate.bonferroni_cells = cells.bonferroni_cells;
-  return estimate;
+  return ToPathEstimate(
+      path_name, trials,
+      EstimateEpsilonFromOutcomeCells(base_cells, neighbor_cells, trials,
+                                      confidence, bonferroni_override,
+                                      /*include_complements=*/false));
 }
 
 const char* ServeAuditPathName(ServeAuditPath path) {
@@ -413,33 +818,21 @@ Result<DpAuditResult> ServiceAuditor::AuditPair(const NeighboringPair& pair,
 
 Result<DpAuditResult> ServiceAuditor::AuditPairAtConfidence(
     const NeighboringPair& pair, NodeId target, double confidence) const {
-  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
-      pair.base.directed() != pair.neighbor.directed()) {
-    return Status::InvalidArgument(
-        "pair sides disagree on node count or direction");
-  }
-  if (target >= pair.base.num_nodes()) {
-    return Status::InvalidArgument("target out of range");
-  }
-
-  DpAuditResult result;
-  result.pairs_checked = 1;
-  result.worst_edge_u = pair.u;
-  result.worst_edge_v = pair.v;
-
-  std::vector<std::unique_ptr<PathTrialDriver>> drivers;
-  drivers.reserve(options_.paths.size());
+  PRIVREC_RETURN_NOT_OK(ValidatePair(pair, target));
+  std::vector<std::unique_ptr<TrialLoop>> loops;
+  loops.reserve(options_.paths.size());
   for (ServeAuditPath path : options_.paths) {
-    drivers.push_back(std::make_unique<PathTrialDriver>(
-        utility_factory_, options_, pair, target, path));
-    PRIVREC_RETURN_NOT_OK(drivers.back()->Init());
+    loops.push_back(std::make_unique<TrialLoop>(
+        utility_factory_, options_, pair, target,
+        PathScenario(path, options_)));
+    PRIVREC_RETURN_NOT_OK(loops.back()->Init());
   }
 
   if (options_.total_trial_budget == 0) {
     // Uniform allocation: every path gets trials_per_side, matching the
     // pre-adaptive audit transcript exactly.
-    for (auto& driver : drivers) {
-      PRIVREC_RETURN_NOT_OK(driver->RunTrials(options_.trials_per_side));
+    for (auto& loop : loops) {
+      PRIVREC_RETURN_NOT_OK(loop->RunTrials(options_.trials_per_side));
     }
   } else {
     // Adaptive allocation: spend the fixed total budget round by round,
@@ -448,7 +841,7 @@ Result<DpAuditResult> ServiceAuditor::AuditPairAtConfidence(
     // width the CP box leaves unresolved, so trials land where they
     // shrink uncertainty fastest; round 1 has no estimates yet and
     // splits uniformly. Total spend is exactly the budget (apportionment
-    // is exact), and determinism holds because each driver's streams
+    // is exact), and determinism holds because each loop's streams
     // persist across rounds.
     const uint64_t budget = options_.total_trial_budget;
     const uint64_t rounds = std::max<uint64_t>(1, options_.adaptive_rounds);
@@ -456,322 +849,53 @@ Result<DpAuditResult> ServiceAuditor::AuditPairAtConfidence(
       const uint64_t slice =
           budget / rounds + (round < budget % rounds ? 1 : 0);
       if (slice == 0) continue;
-      std::vector<double> widths(drivers.size(), 1.0);
+      std::vector<double> widths(loops.size(), 1.0);
       if (round > 0) {
-        for (size_t i = 0; i < drivers.size(); ++i) {
-          const PathEpsilonEstimate estimate =
-              drivers[i]->Estimate(confidence);
+        for (size_t i = 0; i < loops.size(); ++i) {
+          const PathEpsilonEstimate estimate = loops[i]->Estimate(confidence);
           widths[i] = estimate.epsilon_hat - estimate.epsilon_lower_bound;
         }
       }
       const std::vector<uint64_t> alloc = Apportion(slice, widths);
-      for (size_t i = 0; i < drivers.size(); ++i) {
-        if (alloc[i] > 0) PRIVREC_RETURN_NOT_OK(drivers[i]->RunTrials(alloc[i]));
+      for (size_t i = 0; i < loops.size(); ++i) {
+        if (alloc[i] > 0) PRIVREC_RETURN_NOT_OK(loops[i]->RunTrials(alloc[i]));
       }
     }
   }
 
-  for (auto& driver : drivers) {
-    PathEpsilonEstimate estimate = driver->Estimate(confidence);
-    result.max_abs_log_ratio =
-        std::max(result.max_abs_log_ratio, estimate.epsilon_hat);
-    result.per_path.push_back(std::move(estimate));
-  }
-  return result;
+  std::vector<PathEpsilonEstimate> estimates;
+  for (auto& loop : loops) estimates.push_back(loop->Estimate(confidence));
+  return AssembleResult(pair, std::move(estimates));
 }
 
 Result<DpAuditResult> ServiceAuditor::AuditPairUnderMutation(
     const NeighboringPair& pair, NodeId target,
     const MutationAuditOptions& mutation, ServiceStats* stats_out) const {
-  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
-      pair.base.directed() != pair.neighbor.directed()) {
-    return Status::InvalidArgument(
-        "pair sides disagree on node count or direction");
-  }
-  if (target >= pair.base.num_nodes()) {
-    return Status::InvalidArgument("target out of range");
-  }
-  const uint64_t rounds = std::max<uint64_t>(1, mutation.rounds);
-  const uint64_t trials_per_round = options_.trials_per_side / rounds;
-  if (trials_per_round == 0) {
-    return Status::InvalidArgument(
-        "trials_per_side must cover at least one trial per round");
-  }
-
-  DynamicGraph graphs[2] = {DynamicGraph(pair.base),
-                            DynamicGraph(pair.neighbor)};
-  if (mutation.journal_capacity > 0) {
-    graphs[0].SetJournalCapacity(mutation.journal_capacity);
-    graphs[1].SetJournalCapacity(mutation.journal_capacity);
-  }
+  AuditScenario scenario;
+  scenario.name = "under_mutation";
+  scenario.path_id = kMutationPathId;
   // Two shards: the audited target and the churn users stripe across
   // shards, so repair, snapshot re-pinning, and sensitivity memos all run
   // under real shard concurrency — while keeping per-shard state small
   // enough that every mutation round actually touches it.
-  const ServiceOptions service_options = MakeAuditServiceOptions(options_, 2);
-  RecommendationService base_service(&graphs[0], utility_factory_(),
-                                     service_options);
-  RecommendationService neighbor_service(&graphs[1], utility_factory_(),
-                                         service_options);
-  RecommendationService* services[2] = {&base_service, &neighbor_service};
-  Rng rngs[2] = {Rng(DeriveSeed(options_.seed, kMutationPathId, 0)),
-                 Rng(DeriveSeed(options_.seed, kMutationPathId, 1))};
-  // Warm both sides so round 1's trials already sit on the cached-entry
-  // path that each round's mutations will then have to repair.
-  for (int side = 0; side < 2; ++side) {
-    const Status warm =
-        options_.shape == ServeAuditShape::kSingle
-            ? services[side]->ServeForAudit(target, rngs[side]).status()
-            : services[side]
-                  ->ServeListForAudit(target, options_.list_k, rngs[side])
-                  .status();
-    PRIVREC_RETURN_NOT_OK(warm);
-  }
-
-  MirroredMutatorOptions mutator_options;
-  mutator_options.num_threads = mutation.mutator_threads;
-  mutator_options.toggles_per_thread = mutation.toggles_per_thread_per_round;
-  mutator_options.churn_serves_per_thread =
-      mutation.churn_serves_per_thread_per_round;
-  mutator_options.seed = DeriveSeed(options_.seed, kMutationPathId, 2);
-  MirroredMutator mutator(&base_service, &neighbor_service, pair.base, target,
-                          pair.u, pair.v, mutator_options);
-
-  // Outcome cells are keyed by (round, outcome), not outcome alone. The
-  // round index is public (the auditor controls the schedule), and within
-  // a round the two sides sit in identical-except-toggle states, so every
-  // (round, outcome) cell's probability ratio is e^ε-bounded for an
-  // honest service. Pooling rounds instead would average the per-state
-  // ratios — a mis-calibrated service whose leak peaks in some graph
-  // states would hide behind the states where it happens not to leak.
-  OutcomeCellCounts round_cells[2];
-  std::vector<ListOutcomeReduction> round_reductions[2];
-  for (uint64_t round = 0; round < rounds; ++round) {
-    // Concurrent phase: identical toggle streams + churn on both sides.
-    // RunPhase joins its workers, so the measurement slice below runs
-    // against a settled, deterministic graph state.
-    mutator.RunPhase();
-    for (int side = 0; side < 2; ++side) {
-      if (options_.shape == ServeAuditShape::kList) {
-        round_reductions[side].emplace_back();
-      }
-      for (uint64_t t = 0; t < trials_per_round; ++t) {
-        if (options_.shape == ServeAuditShape::kSingle) {
-          PRIVREC_ASSIGN_OR_RETURN(
-              NodeId outcome,
-              services[side]->ServeForAudit(target, rngs[side]));
-          ++round_cells[side][((round + 1) << 32) |
-                              static_cast<uint64_t>(outcome)];
-        } else {
-          std::map<NodeId, uint64_t> unused;
-          PRIVREC_RETURN_NOT_OK(RecordShapeTrial(
-              *services[side], target, options_.shape, options_.list_k,
-              rngs[side], unused, round_reductions[side].back()));
-        }
-      }
-    }
-  }
-
-  DpAuditResult result;
-  result.pairs_checked = 1;
-  result.worst_edge_u = pair.u;
-  result.worst_edge_v = pair.v;
-  PathEpsilonEstimate estimate;
-  estimate.path = "under_mutation";
-  estimate.trials_per_side = trials_per_round * rounds;
-  if (options_.shape == ServeAuditShape::kSingle) {
-    const EpsilonCellEstimate cells = EstimateEpsilonFromOutcomeCells(
-        round_cells[0], round_cells[1], trials_per_round * rounds,
-        options_.confidence, options_.bonferroni_cells_override,
-        /*include_complements=*/false);
-    estimate.epsilon_hat = cells.epsilon_hat;
-    estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-    estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-    estimate.worst_z = cells.worst_z;
-    estimate.bonferroni_cells = cells.bonferroni_cells;
-  } else {
-    // Per-round list reductions share one Bonferroni budget: first total
-    // the cells every round contributes, then re-estimate each round at
-    // that shared correction and keep the worst.
-    size_t total_cells = options_.bonferroni_cells_override;
-    if (total_cells == 0) {
-      for (uint64_t round = 0; round < rounds; ++round) {
-        total_cells += EstimateEpsilonFromListReductions(
-                           round_reductions[0][round],
-                           round_reductions[1][round], options_.confidence)
-                           .bonferroni_cells;
-      }
-    }
-    for (uint64_t round = 0; round < rounds; ++round) {
-      const EpsilonCellEstimate cells = EstimateEpsilonFromListReductions(
-          round_reductions[0][round], round_reductions[1][round],
-          options_.confidence, total_cells);
-      if (cells.epsilon_hat > estimate.epsilon_hat) {
-        estimate.epsilon_hat = cells.epsilon_hat;
-        estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-      }
-      estimate.epsilon_lower_bound =
-          std::max(estimate.epsilon_lower_bound, cells.epsilon_lower_bound);
-      estimate.worst_z = std::max(estimate.worst_z, cells.worst_z);
-    }
-    estimate.bonferroni_cells = total_cells;
-  }
-  result.max_abs_log_ratio = estimate.epsilon_hat;
-  result.per_path.push_back(std::move(estimate));
-  if (stats_out != nullptr) {
-    *stats_out = SumStats(base_service.stats(), neighbor_service.stats());
-  }
-  return result;
+  scenario.num_shards = 2;
+  scenario.hook = TrialHook::kMutatorRounds;
+  scenario.phase_key = PhaseKey::kRound;
+  scenario.rounds = std::max<uint64_t>(1, mutation.rounds);
+  scenario.min_trials = scenario.rounds;
+  scenario.journal_capacity = mutation.journal_capacity;
+  scenario.mutation = &mutation;
+  return RunScenario(utility_factory_, options_, pair, target,
+                     std::move(scenario), stats_out);
 }
 
 Result<DpAuditResult> ServiceAuditor::AuditPairUnderFaults(
     const NeighboringPair& pair, NodeId target,
     const FaultAuditOptions& faults, ServiceStats* stats_out) const {
-  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
-      pair.base.directed() != pair.neighbor.directed()) {
-    return Status::InvalidArgument(
-        "pair sides disagree on node count or direction");
-  }
-  if (target >= pair.base.num_nodes()) {
-    return Status::InvalidArgument("target out of range");
-  }
-  const uint64_t trials = std::max<uint64_t>(1, options_.trials_per_side);
-
-  DynamicGraph graphs[2] = {DynamicGraph(pair.base),
-                            DynamicGraph(pair.neighbor)};
-  if (faults.journal_capacity > 0) {
-    graphs[0].SetJournalCapacity(faults.journal_capacity);
-    graphs[1].SetJournalCapacity(faults.journal_capacity);
-  }
-  // One injector per side: identical plans driven by the mirrored call
-  // sequence below fire identically, so the two sides stay in lockstep
-  // fault states (equal fire counts are asserted at the end).
-  FaultInjector injectors[2];
-  std::unique_ptr<RecommendationService> services[2];
-  Rng rngs[2] = {Rng(DeriveSeed(options_.seed, kFaultPathId, 0)),
-                 Rng(DeriveSeed(options_.seed, kFaultPathId, 1))};
-  for (int side = 0; side < 2; ++side) {
-    ServiceOptions service_options = MakeAuditServiceOptions(options_, 2);
-    service_options.fault_injector = &injectors[side];
-    service_options.retry = faults.retry;
-    services[side] = std::make_unique<RecommendationService>(
-        &graphs[side], utility_factory_(), service_options);
-  }
-  // Warm both sides BEFORE arming the plan: the measured trials then sit
-  // on the cached-entry path, which is the path the injected faults
-  // (repair failure, journal compaction, patch failures) actually bend.
-  for (int side = 0; side < 2; ++side) {
-    const Status warm =
-        options_.shape == ServeAuditShape::kSingle
-            ? services[side]->ServeForAudit(target, rngs[side]).status()
-            : services[side]
-                  ->ServeListForAudit(target, options_.list_k, rngs[side])
-                  .status();
-    PRIVREC_RETURN_NOT_OK(warm);
-  }
-  injectors[0].Install(faults.plan);
-  injectors[1].Install(faults.plan);
-
-  std::optional<CommonToggle> toggle;
-  if (faults.mutations_between_trials > 0) {
-    toggle = ChooseCommonToggle(pair, target);
-    if (!toggle.has_value()) {
-      return Status::FailedPrecondition(
-          "no common edge slot available for the under-faults toggles");
-    }
-  }
-  bool present = toggle.has_value() && toggle->present;
-
-  // Outcome cells are keyed by (parity, outcome): the common slot cycles
-  // the graph state with period 2, the parity schedule is public, and at
-  // equal parity the two sides are neighbors — so each cell of an honest
-  // service is e^ε-bounded, exactly the under-mutation argument with the
-  // round index collapsed to the toggle parity.
-  OutcomeCellCounts parity_cells[2];
-  ListOutcomeReduction parity_reductions[2][2];  // [side][parity]
-  uint64_t parity_trials[2] = {0, 0};
-  for (uint64_t t = 0; t < trials; ++t) {
-    for (uint64_t m = 0; m < faults.mutations_between_trials; ++m) {
-      for (int side = 0; side < 2; ++side) {
-        const Status mutated =
-            present ? services[side]->RemoveEdge(toggle->a, toggle->b)
-                    : services[side]->AddEdge(toggle->a, toggle->b);
-        PRIVREC_RETURN_NOT_OK(mutated);
-      }
-      present = !present;
-    }
-    const uint64_t parity =
-        (toggle.has_value() && present != toggle->present) ? 1 : 0;
-    ++parity_trials[parity];
-    for (int side = 0; side < 2; ++side) {
-      if (options_.shape == ServeAuditShape::kSingle) {
-        PRIVREC_ASSIGN_OR_RETURN(
-            NodeId outcome, services[side]->ServeForAudit(target, rngs[side]));
-        ++parity_cells[side][((parity + 1) << 32) |
-                             static_cast<uint64_t>(outcome)];
-      } else {
-        std::map<NodeId, uint64_t> unused;
-        PRIVREC_RETURN_NOT_OK(RecordShapeTrial(
-            *services[side], target, options_.shape, options_.list_k,
-            rngs[side], unused, parity_reductions[side][parity]));
-      }
-    }
-  }
-  // The determinism contract made observable: mirrored plans + mirrored
-  // drive sequences must have produced identical fire counts.
-  PRIVREC_CHECK_EQ(injectors[0].total_fires(), injectors[1].total_fires());
-
-  DpAuditResult result;
-  result.pairs_checked = 1;
-  result.worst_edge_u = pair.u;
-  result.worst_edge_v = pair.v;
-  PathEpsilonEstimate estimate;
-  estimate.path = "under_faults";
-  estimate.trials_per_side = trials;
-  if (options_.shape == ServeAuditShape::kSingle) {
-    const EpsilonCellEstimate cells = EstimateEpsilonFromOutcomeCells(
-        parity_cells[0], parity_cells[1], trials, options_.confidence,
-        options_.bonferroni_cells_override,
-        /*include_complements=*/false);
-    estimate.epsilon_hat = cells.epsilon_hat;
-    estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-    estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-    estimate.worst_z = cells.worst_z;
-    estimate.bonferroni_cells = cells.bonferroni_cells;
-  } else {
-    // Per-parity list reductions share one Bonferroni budget, mirroring
-    // the under-mutation per-round merge.
-    size_t total_cells = options_.bonferroni_cells_override;
-    if (total_cells == 0) {
-      for (int parity = 0; parity < 2; ++parity) {
-        if (parity_trials[parity] == 0) continue;
-        total_cells += EstimateEpsilonFromListReductions(
-                           parity_reductions[0][parity],
-                           parity_reductions[1][parity], options_.confidence)
-                           .bonferroni_cells;
-      }
-    }
-    for (int parity = 0; parity < 2; ++parity) {
-      if (parity_trials[parity] == 0) continue;
-      const EpsilonCellEstimate cells = EstimateEpsilonFromListReductions(
-          parity_reductions[0][parity], parity_reductions[1][parity],
-          options_.confidence, total_cells);
-      if (cells.epsilon_hat > estimate.epsilon_hat) {
-        estimate.epsilon_hat = cells.epsilon_hat;
-        estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-      }
-      estimate.epsilon_lower_bound =
-          std::max(estimate.epsilon_lower_bound, cells.epsilon_lower_bound);
-      estimate.worst_z = std::max(estimate.worst_z, cells.worst_z);
-    }
-    estimate.bonferroni_cells = total_cells;
-  }
-  result.max_abs_log_ratio = estimate.epsilon_hat;
-  result.per_path.push_back(std::move(estimate));
-  if (stats_out != nullptr) {
-    *stats_out = SumStats(services[0]->stats(), services[1]->stats());
-  }
-  return result;
+  return RunScenario(utility_factory_, options_, pair, target,
+                     ParityScenario("under_faults", kFaultPathId,
+                                    TrialHook::kParityToggles, faults),
+                     stats_out);
 }
 
 Result<DpAuditResult> ServiceAuditor::AuditAcrossRecovery(
@@ -785,262 +909,15 @@ Result<DpAuditResult> ServiceAuditor::AuditAcrossRecovery(
     return Status::InvalidArgument(
         "RecoveryAuditOptions::state_dir is required");
   }
-  if (pair.base.num_nodes() != pair.neighbor.num_nodes() ||
-      pair.base.directed() != pair.neighbor.directed()) {
-    return Status::InvalidArgument(
-        "pair sides disagree on node count or direction");
-  }
-  if (target >= pair.base.num_nodes()) {
-    return Status::InvalidArgument("target out of range");
-  }
+  AuditScenario scenario =
+      ParityScenario("across_recovery", kRecoveryPathId,
+                     TrialHook::kCrashRecover, recovery);
   // At least one trial on each side of the crash boundary — the boundary
   // IS the path under audit.
-  const uint64_t trials = std::max<uint64_t>(2, options_.trials_per_side);
-  const uint64_t phase0_trials = trials / 2;
-
-  // Per-side durable state, wiped on entry so a fixed seed reproduces the
-  // audit byte for byte.
-  std::string side_dirs[2];
-  for (int side = 0; side < 2; ++side) {
-    side_dirs[side] = recovery.state_dir + "/side" + std::to_string(side);
-    std::error_code ec;
-    std::filesystem::remove_all(side_dirs[side], ec);
-    std::filesystem::create_directories(side_dirs[side], ec);
-    if (ec) {
-      return Status::IOError("cannot create audit state dir '" +
-                             side_dirs[side] + "'");
-    }
-  }
-  auto wal_dir = [&](int side) { return side_dirs[side] + "/wal"; };
-  auto ledger_dir = [&](int side) { return side_dirs[side] + "/ledger"; };
-  auto ckpt_dir = [&](int side) { return side_dirs[side] + "/ckpt"; };
-
-  // Headroom for the charged pre-crash traffic: the audit serves
-  // themselves stay budget-neutral, but the charged serves must fit.
-  const double per_user_budget =
-      options_.release_epsilon *
-      static_cast<double>(recovery.charged_serves_per_side + 1);
-
-  FaultInjector injectors[2];
-  std::unique_ptr<WriteAheadLog> wals[2];
-  std::unique_ptr<BudgetLedger> ledgers[2];
-  std::unique_ptr<DynamicGraph> graphs[2];
-  std::unique_ptr<RecommendationService> services[2];
-  Rng rngs[2] = {Rng(DeriveSeed(options_.seed, kRecoveryPathId, 0)),
-                 Rng(DeriveSeed(options_.seed, kRecoveryPathId, 1))};
-
-  auto build_service = [&](int side) -> Status {
-    ServiceOptions service_options = MakeAuditServiceOptions(options_, 2);
-    service_options.per_user_budget = per_user_budget;
-    service_options.fault_injector = &injectors[side];
-    service_options.retry = recovery.retry;
-    service_options.wal = wals[side].get();
-    service_options.budget_ledger = ledgers[side].get();
-    services[side] = std::make_unique<RecommendationService>(
-        graphs[side].get(), utility_factory_(), service_options);
-    return Status::OK();
-  };
-  for (int side = 0; side < 2; ++side) {
-    graphs[side] = std::make_unique<DynamicGraph>(side == 0 ? pair.base
-                                                            : pair.neighbor);
-    if (recovery.journal_capacity > 0) {
-      graphs[side]->SetJournalCapacity(recovery.journal_capacity);
-    }
-    WalOptions wal_options;
-    wal_options.fault_injector = &injectors[side];
-    PRIVREC_ASSIGN_OR_RETURN(wals[side],
-                             WriteAheadLog::Open(wal_dir(side), wal_options));
-    LedgerOptions ledger_options;
-    ledger_options.fault_injector = &injectors[side];
-    PRIVREC_ASSIGN_OR_RETURN(
-        ledgers[side], BudgetLedger::Open(ledger_dir(side), ledger_options));
-    PRIVREC_RETURN_NOT_OK(build_service(side));
-    // Initial checkpoint BEFORE the plan is armed: recovery always has an
-    // authoritative manifest to start from, whatever the plan breaks.
-    PRIVREC_RETURN_NOT_OK(services[side]->SaveCheckpoint(ckpt_dir(side)));
-    // Warm before arming, mirroring AuditPairUnderFaults: measured trials
-    // sit on the cached-entry path.
-    PRIVREC_RETURN_NOT_OK(
-        services[side]->ServeForAudit(target, rngs[side]).status());
-  }
-  injectors[0].Install(recovery.plan);
-  injectors[1].Install(recovery.plan);
-
-  // Charged pre-crash traffic: the serves the durable ledger must
-  // survive. Mirrored; only identical ok-ness is required (a refusal is
-  // budget-neutral on both sides).
-  for (uint64_t i = 0; i < recovery.charged_serves_per_side; ++i) {
-    const Status s0 =
-        services[0]->ServeRecommendation(target, rngs[0]).status();
-    const Status s1 =
-        services[1]->ServeRecommendation(target, rngs[1]).status();
-    if (s0.ok() != s1.ok()) {
-      return Status::Internal("mirrored charged serves diverged: '" +
-                              s0.message() + "' vs '" + s1.message() + "'");
-    }
-  }
-  const double pre_crash_charged[2] = {
-      per_user_budget - services[0]->RemainingBudget(target),
-      per_user_budget - services[1]->RemainingBudget(target)};
-
-  std::optional<CommonToggle> toggle;
-  if (recovery.mutations_between_trials > 0) {
-    toggle = ChooseCommonToggle(pair, target);
-    if (!toggle.has_value()) {
-      return Status::FailedPrecondition(
-          "no common edge slot available for the across-recovery toggles");
-    }
-  }
-  bool present = toggle.has_value() && toggle->present;
-  // A torn WAL rejects mutations from then on; the schedule freezes
-  // SYMMETRICALLY (equal plans fire equally), keeping the parity cells
-  // sound. Divergent ok-ness is the one impossible state worth failing on.
-  bool mutations_alive = toggle.has_value();
-  OutcomeCellCounts parity_cells[2];
-  auto run_trials = [&](uint64_t count) -> Status {
-    for (uint64_t t = 0; t < count; ++t) {
-      if (mutations_alive) {
-        for (uint64_t m = 0; m < recovery.mutations_between_trials; ++m) {
-          const Status m0 = present
-                                ? services[0]->RemoveEdge(toggle->a, toggle->b)
-                                : services[0]->AddEdge(toggle->a, toggle->b);
-          const Status m1 = present
-                                ? services[1]->RemoveEdge(toggle->a, toggle->b)
-                                : services[1]->AddEdge(toggle->a, toggle->b);
-          if (m0.ok() != m1.ok()) {
-            return Status::Internal("mirrored toggles diverged: '" +
-                                    m0.message() + "' vs '" + m1.message() +
-                                    "'");
-          }
-          if (!m0.ok()) {
-            mutations_alive = false;
-            break;
-          }
-          present = !present;
-        }
-      }
-      const uint64_t parity =
-          (toggle.has_value() && present != toggle->present) ? 1 : 0;
-      for (int side = 0; side < 2; ++side) {
-        PRIVREC_ASSIGN_OR_RETURN(
-            NodeId outcome, services[side]->ServeForAudit(target, rngs[side]));
-        ++parity_cells[side][((parity + 1) << 32) |
-                             static_cast<uint64_t>(outcome)];
-      }
-    }
-    return Status::OK();
-  };
-  PRIVREC_RETURN_NOT_OK(run_trials(phase0_trials));
-
-  // Mid-audit checkpoint attempt, faults still armed: under
-  // kCheckpointCrash this dies before the manifest commit (on both sides
-  // identically) and the initial checkpoint stays authoritative.
-  {
-    const Status c0 = services[0]->SaveCheckpoint(ckpt_dir(0));
-    const Status c1 = services[1]->SaveCheckpoint(ckpt_dir(1));
-    if (c0.ok() != c1.ok()) {
-      return Status::Internal("mirrored checkpoints diverged: '" +
-                              c0.message() + "' vs '" + c1.message() + "'");
-    }
-  }
-
-  // ---- The crash. ----
-  PRIVREC_CHECK_EQ(injectors[0].total_fires(), injectors[1].total_fires());
-  const ServiceStats pre_crash_stats =
-      SumStats(services[0]->stats(), services[1]->stats());
-  for (int side = 0; side < 2; ++side) {
-    wals[side]->SimulateCrash();
-    ledgers[side]->SimulateCrash();
-  }
-  // Teardown order mirrors ownership: services reference graphs, graphs
-  // reference WALs.
-  for (int side = 0; side < 2; ++side) services[side].reset();
-  for (int side = 0; side < 2; ++side) graphs[side].reset();
-  for (int side = 0; side < 2; ++side) {
-    wals[side].reset();
-    ledgers[side].reset();
-  }
-  // Post-recovery runs clean; the fire counts above are already folded
-  // into pre_crash_stats.
-  injectors[0].Clear();
-  injectors[1].Clear();
-
-  // ---- Recovery. ----
-  for (int side = 0; side < 2; ++side) {
-    PRIVREC_ASSIGN_OR_RETURN(wals[side], WriteAheadLog::Open(wal_dir(side)));
-    RecoveryReport report;
-    PRIVREC_ASSIGN_OR_RETURN(
-        graphs[side], RecoverGraph(ckpt_dir(side), *wals[side], &report));
-    if (recovery.journal_capacity > 0) {
-      graphs[side]->SetJournalCapacity(recovery.journal_capacity);
-    }
-    PRIVREC_ASSIGN_OR_RETURN(ledgers[side],
-                             BudgetLedger::Open(ledger_dir(side)));
-    const std::unordered_map<NodeId, double> recovered_spend =
-        ledgers[side]->SpentByUser();
-    auto it = recovered_spend.find(target);
-    const double recovered = it == recovered_spend.end() ? 0.0 : it->second;
-    if (recovered + 1e-9 < pre_crash_charged[side]) {
-      // The one unrecoverable state: durable spend below what was charged
-      // in memory means a charge was lost (torn ledger append). Refusing
-      // is the only sound posture — certifying would launder the loss.
-      return Status::FailedPrecondition(
-          "budget ledger unrecoverable on side " + std::to_string(side) +
-          ": recovered spend " + std::to_string(recovered) +
-          " < pre-crash charged " +
-          std::to_string(pre_crash_charged[side]) +
-          " — refusing to certify across this recovery");
-    }
-    PRIVREC_RETURN_NOT_OK(build_service(side));
-    services[side]->ImportSpentBudgets(recovered_spend);
-    PRIVREC_RETURN_NOT_OK(
-        services[side]->ServeForAudit(target, rngs[side]).status());
-  }
-  // Re-derive the parity anchor from the RECOVERED graphs: recovery is
-  // exact, so both sides must agree — and agree with the pre-crash
-  // schedule.
-  if (toggle.has_value()) {
-    const bool p0 = graphs[0]->VersionedSnapshot().graph->HasEdge(toggle->a,
-                                                                  toggle->b);
-    const bool p1 = graphs[1]->VersionedSnapshot().graph->HasEdge(toggle->a,
-                                                                  toggle->b);
-    if (p0 != p1) {
-      return Status::Internal(
-          "recovered sides disagree on the common toggle slot");
-    }
-    if (p0 != present) {
-      return Status::Internal(
-          "recovered graph state disagrees with the pre-crash toggle "
-          "schedule");
-    }
-    mutations_alive = true;  // fresh WAL: toggles flow again
-  }
-  PRIVREC_RETURN_NOT_OK(run_trials(trials - phase0_trials));
-  PRIVREC_CHECK_EQ(injectors[0].total_fires(), injectors[1].total_fires());
-
-  DpAuditResult result;
-  result.pairs_checked = 1;
-  result.worst_edge_u = pair.u;
-  result.worst_edge_v = pair.v;
-  PathEpsilonEstimate estimate;
-  estimate.path = "across_recovery";
-  estimate.trials_per_side = trials;
-  const EpsilonCellEstimate cells = EstimateEpsilonFromOutcomeCells(
-      parity_cells[0], parity_cells[1], trials, options_.confidence,
-      options_.bonferroni_cells_override,
-      /*include_complements=*/false);
-  estimate.epsilon_hat = cells.epsilon_hat;
-  estimate.epsilon_lower_bound = cells.epsilon_lower_bound;
-  estimate.worst_outcome = static_cast<NodeId>(cells.worst_cell);
-  estimate.worst_z = cells.worst_z;
-  estimate.bonferroni_cells = cells.bonferroni_cells;
-  result.max_abs_log_ratio = estimate.epsilon_hat;
-  result.per_path.push_back(std::move(estimate));
-  if (stats_out != nullptr) {
-    *stats_out = SumStats(pre_crash_stats,
-                          SumStats(services[0]->stats(), services[1]->stats()));
-  }
-  return result;
+  scenario.min_trials = 2;
+  scenario.recovery = &recovery;
+  return RunScenario(utility_factory_, options_, pair, target,
+                     std::move(scenario), stats_out);
 }
 
 Result<DpAuditResult> ServiceAuditor::AuditEdgeToggles(const CsrGraph& graph,

@@ -83,6 +83,9 @@ struct ServiceAuditOptions {
   /// Serve trials per side (base / neighbor) per audited path. The
   /// Clopper–Pearson half-widths shrink like 1/sqrt(trials); ~2500 per
   /// side resolves ratios of e^0.3 at 99% confidence on small fixtures.
+  /// The scenario audits (under mutation, under faults, across recovery)
+  /// refuse with InvalidArgument a count that leaves a phase empty: 0,
+  /// fewer than the mutation rounds, or fewer than 2 across a recovery.
   uint64_t trials_per_side = 2500;
   /// Overall confidence of the certified epsilon_lower_bound, Bonferroni-
   /// split across the per-outcome intervals.

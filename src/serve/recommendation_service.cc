@@ -799,32 +799,42 @@ double RecommendationService::WindowSpent(NodeId user) const {
   return it == shard.accountants.end() ? 0.0 : it->second.window_spent();
 }
 
+ServiceStats& ServiceStats::operator+=(const ServiceStats& other) {
+  static_assert(sizeof(ServiceStats) == 23 * sizeof(uint64_t),
+                "a new ServiceStats field must be added here too");
+  served += other.served;
+  refused_budget += other.refused_budget;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  cache_invalidations += other.cache_invalidations;
+  sampler_reuses += other.sampler_reuses;
+  audit_serves += other.audit_serves;
+  audit_list_serves += other.audit_list_serves;
+  delta_kept += other.delta_kept;
+  delta_patched += other.delta_patched;
+  delta_recomputed += other.delta_recomputed;
+  journal_fallbacks += other.journal_fallbacks;
+  doomed_evictions += other.doomed_evictions;
+  filter_dropped_deltas += other.filter_dropped_deltas;
+  repair_ns += other.repair_ns;
+  refused_window += other.refused_window;
+  degraded_serves += other.degraded_serves;
+  window_refreshes += other.window_refreshes;
+  shed_overload += other.shed_overload;
+  retries += other.retries;
+  stale_fallback_serves += other.stale_fallback_serves;
+  injected_faults += other.injected_faults;
+  ledger_appends += other.ledger_appends;
+  return *this;
+}
+
 ServiceStats RecommendationService::stats() const {
   ServiceStats total;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    total.served += shard.stats.served;
-    total.refused_budget += shard.stats.refused_budget;
-    total.cache_hits += shard.stats.cache_hits;
-    total.cache_misses += shard.stats.cache_misses;
-    total.cache_invalidations += shard.stats.cache_invalidations;
-    total.sampler_reuses += shard.stats.sampler_reuses;
-    total.audit_serves += shard.stats.audit_serves;
-    total.audit_list_serves += shard.stats.audit_list_serves;
-    total.delta_kept += shard.stats.delta_kept;
-    total.delta_patched += shard.stats.delta_patched;
-    total.delta_recomputed += shard.stats.delta_recomputed;
-    total.journal_fallbacks += shard.stats.journal_fallbacks;
-    total.doomed_evictions += shard.stats.doomed_evictions;
-    total.filter_dropped_deltas += shard.stats.filter_dropped_deltas;
-    total.repair_ns += shard.stats.repair_ns;
-    total.refused_window += shard.stats.refused_window;
-    total.degraded_serves += shard.stats.degraded_serves;
-    total.window_refreshes += shard.stats.window_refreshes;
-    total.stale_fallback_serves += shard.stats.stale_fallback_serves;
-    total.injected_faults += shard.stats.injected_faults;
-    total.ledger_appends += shard.stats.ledger_appends;
+    total += shard.stats;
+    // Overload/retry tallies are shard atomics, not shard.stats fields.
     total.shed_overload +=
         shard.shed_overload.load(std::memory_order_relaxed);
     total.retries += shard.retries.load(std::memory_order_relaxed);

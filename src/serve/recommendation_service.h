@@ -227,6 +227,10 @@ struct ServiceStats {
   /// completed since the ledger was attached, except when a crash landed
   /// between the append and the release.
   uint64_t ledger_appends = 0;
+
+  /// Field-wise sum: how stats() totals its shards and how callers total
+  /// several services.
+  ServiceStats& operator+=(const ServiceStats& other);
 };
 
 /// The production wrapper a deployment would put around this library:

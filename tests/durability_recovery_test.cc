@@ -679,6 +679,8 @@ TEST(AuditAcrossRecoveryTest, HonestServiceStaysCertifiedAcrossACleanCrash) {
       << "a clean crash/recover boundary leaked";
   EXPECT_GT(stats.ledger_appends, 0u)
       << "charged pre-crash traffic never reached the durable ledger";
+  // Both sides' charged serves, summed with the recovered services' stats.
+  EXPECT_EQ(stats.ledger_appends, 2 * recovery.charged_serves_per_side);
 }
 
 TEST(AuditAcrossRecoveryTest, StaysCertifiedOnRecoverableCrashPoints) {

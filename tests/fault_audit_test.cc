@@ -225,6 +225,34 @@ TEST(FaultAuditTest, FixedSeedReproducesTheFaultAudit) {
                    second->per_path[0].epsilon_lower_bound);
 }
 
+TEST(FaultAuditTest, ZeroTrialsAreRefusedByEveryScenarioAudit) {
+  // trials_per_side == 0 is only meaningful for AuditPair's adaptive
+  // budget. The scenario audits run trials_per_side trials, so 0 must be
+  // refused by all three instead of being padded into an audit of
+  // trials nobody asked for.
+  ServiceAuditOptions options = FaultAuditAuditorOptions();
+  options.trials_per_side = 0;
+  options.total_trial_budget = 100;
+  ServiceAuditor auditor(
+      [] { return std::make_unique<CommonNeighborsUtility>(); }, options);
+  auto mutation = auditor.AuditPairUnderMutation(FixturePair(), 0,
+                                                 MutationAuditOptions());
+  ASSERT_FALSE(mutation.ok());
+  EXPECT_TRUE(mutation.status().IsInvalidArgument())
+      << mutation.status().ToString();
+  auto faults =
+      auditor.AuditPairUnderFaults(FixturePair(), 0, FaultAuditOptions());
+  ASSERT_FALSE(faults.ok());
+  EXPECT_TRUE(faults.status().IsInvalidArgument())
+      << faults.status().ToString();
+  RecoveryAuditOptions recovery;
+  recovery.state_dir = ::testing::TempDir() + "/fault_audit_zero_trials";
+  auto across = auditor.AuditAcrossRecovery(FixturePair(), 0, recovery);
+  ASSERT_FALSE(across.ok());
+  EXPECT_TRUE(across.status().IsInvalidArgument())
+      << across.status().ToString();
+}
+
 TEST(FaultAuditTest, UncapTripWireStaysCaughtUnderFaults) {
   // The negative control: auditing under faults must not blunt the
   // audit. The uncap-projection trip wire (serve raw, calibrate capped)
