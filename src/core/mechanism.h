@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,9 +130,37 @@ class Mechanism {
   }
 };
 
-/// Uniformly samples a concrete zero-utility candidate id: a node that is
-/// not the target, not an out-neighbor of the target, and not in the
-/// nonzero support. Rejection sampling; FailedPrecondition if none exists.
+/// Resolves every zero-block pick in `picks` (from_zero_block set) to a
+/// DISTINCT uniform zero-utility candidate of `graph`: a node that is not
+/// the target, not an out-neighbor of the target, not in the nonzero
+/// support, and not a pick resolved earlier in the same call. Nonzero
+/// picks are left as they are. `graph` must be the view `utilities` was
+/// computed on.
+///
+/// The resolution is part of the privacy argument, not cosmetics: a
+/// released sentinel says "this slot's utility is exactly 0", an outcome
+/// with probability 0 on the side of a neighboring pair where that
+/// candidate's utility is positive — an infinite probability ratio.
+/// Uniform without-replacement resolution makes zero picks exchangeable
+/// with positive picks, restoring the mechanism's e^ε bound.
+///
+/// Each pick draws by rejection over uniform node ids (at most 256
+/// draws), falling back to a uniform rank-select over the eligible ids:
+/// both are exactly uniform over the remaining zero block. The excluded
+/// set is marked in `excluded_bits`, caller-owned scratch with one bit
+/// per node id that must be all-zero on entry; it is grown (zero-filled)
+/// when shorter than graph.num_nodes() bits and is all-zero again on
+/// return, so a caller that keeps it (the serving shards reuse their
+/// workspace's kernel bitmap) resolves without allocating. Cost:
+/// O(|support| + out-degree + picks) bit sets, plus O(num_nodes / 64)
+/// for a fallback. FailedPrecondition if a zero pick has no zero-utility
+/// candidate to resolve to.
+Status ResolveZeroPicks(const CsrGraph& graph, const UtilityVector& utilities,
+                        std::span<Recommendation> picks, Rng& rng,
+                        std::vector<uint64_t>& excluded_bits);
+
+/// One uniform zero-utility candidate: ResolveZeroPicks on a single pick
+/// with a local bitmap. FailedPrecondition if none exists.
 Result<NodeId> ResolveZeroUtilityNode(const CsrGraph& graph,
                                       const UtilityVector& utilities,
                                       Rng& rng);

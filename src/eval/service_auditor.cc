@@ -819,6 +819,23 @@ Result<DpAuditResult> ServiceAuditor::AuditPair(const NeighboringPair& pair,
 Result<DpAuditResult> ServiceAuditor::AuditPairAtConfidence(
     const NeighboringPair& pair, NodeId target, double confidence) const {
   PRIVREC_RETURN_NOT_OK(ValidatePair(pair, target));
+  const uint64_t rounds = std::max<uint64_t>(1, options_.adaptive_rounds);
+  if (options_.total_trial_budget > 0) {
+    // Round 1 splits its slice uniformly; a slice smaller than the path
+    // count starves some paths for the whole audit (later rounds steer by
+    // gaps those paths never got to report), leaving rows that read as
+    // ε̂ = 0 with no evidence behind them.
+    const uint64_t first_slice =
+        options_.total_trial_budget / rounds +
+        (options_.total_trial_budget % rounds > 0 ? 1 : 0);
+    if (first_slice < options_.paths.size()) {
+      return Status::InvalidArgument(
+          "total_trial_budget " + std::to_string(options_.total_trial_budget) +
+          " over " + std::to_string(rounds) +
+          " adaptive rounds leaves a first-round slice smaller than the " +
+          std::to_string(options_.paths.size()) + " audited paths");
+    }
+  }
   std::vector<std::unique_ptr<TrialLoop>> loops;
   loops.reserve(options_.paths.size());
   for (ServeAuditPath path : options_.paths) {
@@ -844,7 +861,6 @@ Result<DpAuditResult> ServiceAuditor::AuditPairAtConfidence(
     // is exact), and determinism holds because each loop's streams
     // persist across rounds.
     const uint64_t budget = options_.total_trial_budget;
-    const uint64_t rounds = std::max<uint64_t>(1, options_.adaptive_rounds);
     for (uint64_t round = 0; round < rounds; ++round) {
       const uint64_t slice =
           budget / rounds + (round < budget % rounds ? 1 : 0);

@@ -110,7 +110,10 @@ struct ServiceAuditOptions {
   /// (ε̂ − certified lower bound), so trials concentrate where the
   /// Clopper–Pearson intervals are widest. Deterministic: per-path RNG
   /// streams persist across rounds, so a fixed seed reproduces the audit
-  /// regardless of how the allocation unfolds. 0 = uniform (legacy):
+  /// regardless of how the allocation unfolds. AuditPair refuses with
+  /// InvalidArgument a budget whose first-round slice (budget / rounds,
+  /// rounded up) is smaller than the number of audited paths: round 1
+  /// must give every path at least one trial. 0 = uniform (legacy):
   /// every path gets trials_per_side.
   uint64_t total_trial_budget = 0;
   /// Rounds for the adaptive loop (>= 1; 1 degenerates to uniform).

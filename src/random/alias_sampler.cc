@@ -24,7 +24,11 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
 
   prob_.assign(n, 0.0);
   alias_.assign(n, 0);
+  // Worklists sized up front: a build costs a fixed number of
+  // allocations, whatever the number of weights.
   std::vector<uint32_t> small, large;
+  small.reserve(n);
+  large.reserve(n);
   std::vector<double> scaled(n);
   for (size_t i = 0; i < n; ++i) {
     scaled[i] = pmf_[i] * static_cast<double>(n);

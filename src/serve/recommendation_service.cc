@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -30,53 +29,6 @@ size_t ResolveShardCount(size_t requested) {
   // Clamp before rounding: RoundUpPow2 on a value above 2^63 would never
   // terminate.
   return RoundUpPow2(std::min<size_t>(n, 64));
-}
-
-/// Resolves a peeled list's zero-block sentinel picks to DISTINCT uniform
-/// zero-utility candidates of `view` — the contract TopKResult documents
-/// but defers to the release path. The resolution is part of the privacy
-/// argument, not cosmetics: a released sentinel says "this slot's utility
-/// is exactly 0", an outcome with probability 0 on the side of a
-/// neighboring pair where that candidate's utility is positive — an
-/// infinite probability ratio. (The node-DP audit certified exactly that
-/// before lists were resolved; single serves always resolved.) Uniform
-/// without-replacement resolution makes zero picks exchangeable with
-/// positive picks, restoring the peeling mechanism's e^ε bound.
-Status ResolveZeroPicks(const CsrGraph& view, const UtilityVector& utilities,
-                        TopKResult& result, Rng& rng) {
-  std::unordered_set<NodeId> excluded;
-  excluded.reserve(utilities.nonzero().size() + result.picks.size());
-  for (const UtilityEntry& e : utilities.nonzero()) excluded.insert(e.node);
-  const NodeId target = utilities.target();
-  auto eligible = [&](NodeId v) {
-    return v != target && !view.HasEdge(target, v) && excluded.count(v) == 0;
-  };
-  for (Recommendation& pick : result.picks) {
-    if (!pick.from_zero_block) continue;
-    NodeId resolved = kUnresolvedZeroNode;
-    // Rejection over uniform node draws conditioned on eligibility is
-    // uniform over the remaining zero block; the peeling never draws the
-    // zero slot more often than the block has members, so the scan
-    // fallback below always finds one.
-    for (int attempt = 0; attempt < 256 && resolved == kUnresolvedZeroNode;
-         ++attempt) {
-      const NodeId v = static_cast<NodeId>(rng.NextBounded(view.num_nodes()));
-      if (eligible(v)) resolved = v;
-    }
-    if (resolved == kUnresolvedZeroNode) {
-      std::vector<NodeId> pool;
-      for (NodeId v = 0; v < view.num_nodes(); ++v) {
-        if (eligible(v)) pool.push_back(v);
-      }
-      if (pool.empty()) {
-        return Status::Internal("zero-utility list bookkeeping mismatch");
-      }
-      resolved = pool[rng.NextBounded(pool.size())];
-    }
-    pick.node = resolved;
-    excluded.insert(resolved);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -563,10 +515,14 @@ Result<NodeId> RecommendationService::ServeLocked(Shard& shard, NodeId user,
   } else {
     ++shard.stats.audit_serves;
   }
-  const Recommendation rec =
+  Recommendation rec =
       degraded ? degraded_sampler->Draw(rng) : entry->sampler->Draw(rng);
-  if (!rec.from_zero_block) return rec.node;
-  return ResolveZeroUtilityNode(ServingView(snap), entry->utilities, rng);
+  // A zero-block draw resolves through the workspace's kernel bitmap
+  // (all-zero at rest, so shared with the 2-hop kernels): no allocation.
+  PRIVREC_RETURN_NOT_OK(ResolveZeroPicks(
+      ServingView(snap), entry->utilities, std::span<Recommendation>(&rec, 1),
+      rng, shard.workspace.two_hop().bits));
+  return rec.node;
 }
 
 Result<TopKResult> RecommendationService::ServeListLocked(Shard& shard,
@@ -651,8 +607,9 @@ Result<TopKResult> RecommendationService::ServeListLocked(Shard& shard,
   if (result.ok()) {
     // Resolve zero-block picks to concrete distinct candidates — released
     // sentinels would leak "utility exactly 0" (see ResolveZeroPicks).
-    PRIVREC_RETURN_NOT_OK(
-        ResolveZeroPicks(view, entry->utilities, *result, rng));
+    PRIVREC_RETURN_NOT_OK(ResolveZeroPicks(view, entry->utilities,
+                                           result->picks, rng,
+                                           shard.workspace.two_hop().bits));
     if (charge_budget) {
       ++shard.stats.served;
       if (degraded) ++shard.stats.degraded_serves;
@@ -774,8 +731,7 @@ Status RecommendationService::SaveCheckpoint(const std::string& dir) {
 void RecommendationService::ImportSpentBudget(NodeId user, double spent) {
   Shard& shard = ShardFor(user);
   std::lock_guard<std::mutex> lock(shard.mu);
-  AccountantForLocked(shard, user)
-      .RestoreSpent(spent, "recovered ledger spend");
+  AccountantForLocked(shard, user).RestoreSpent(spent);
   UpdateBudgetHintLocked(shard, user);
 }
 

@@ -617,13 +617,13 @@ TEST(CrashRecoverDifferentialTest, TornWalWriteNeverLetsAppliedStateRunAhead) {
 TEST(CrashRecoverDifferentialTest, RestoreSpentIsMonotoneAndConservative) {
   PrivacyAccountant accountant(1.0);
   ASSERT_TRUE(accountant.Charge(0.25, "pre").ok());
-  accountant.RestoreSpent(0.1, "lower: no-op");
+  accountant.RestoreSpent(0.1);  // lower: no-op
   EXPECT_DOUBLE_EQ(accountant.spent(), 0.25);
-  accountant.RestoreSpent(0.75, "recovered");
+  accountant.RestoreSpent(0.75);
   EXPECT_DOUBLE_EQ(accountant.spent(), 0.75);
   // Over-budget restore: the accountant refuses everything from here on —
   // the conservative posture when the durable ledger out-says the cap.
-  accountant.RestoreSpent(1.5, "over-recovered");
+  accountant.RestoreSpent(1.5);
   EXPECT_DOUBLE_EQ(accountant.spent(), 1.5);
   EXPECT_LT(accountant.remaining(), 0.0);
   EXPECT_FALSE(accountant.CanCharge(0.01));

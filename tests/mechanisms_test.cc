@@ -2,6 +2,7 @@
 #include <memory>
 #include <numeric>
 #include <utility>
+#include <vector>
 
 #include "core/baseline_mechanisms.h"
 #include "core/closed_forms.h"
@@ -11,6 +12,7 @@
 #include "core/mechanism.h"
 #include "eval/accuracy.h"
 #include "gen/fixtures.h"
+#include "graph/graph_builder.h"
 #include "gtest/gtest.h"
 #include "random/distributions.h"
 #include "random/rng.h"
@@ -498,6 +500,71 @@ TEST(ResolveZeroNodeTest, FailsWhenNoZeroCandidates) {
   Rng rng(31);
   EXPECT_TRUE(ResolveZeroUtilityNode(g, u, rng).status()
                   .IsFailedPrecondition());
+}
+
+/// 2,000 nodes; target 0's only neighbour is hub 1, which links to nodes
+/// 2..1997, so those carry common-neighbour utility 1 and the zero block
+/// is exactly {1998, 1999}. A uniform node draw lands in it with
+/// probability 2/2000, so all 256 rejection draws miss with probability
+/// (1 - 1/1000)^256 ≈ 0.77 and the fallback decides most resolutions.
+CsrGraph MakeTwoNodeZeroBlockFixture() {
+  GraphBuilder builder(/*directed=*/false);
+  builder.SetNumNodes(2000);
+  builder.AddEdge(0, 1);
+  for (NodeId v = 2; v < 1998; ++v) builder.AddEdge(1, v);
+  return builder.Build();
+}
+
+TEST(ResolveZeroNodeTest, FallbackIsUniformOverTheZeroBlock) {
+  // A fallback that returned the lowest eligible id would give 1998 about
+  // 0.77 + 0.23 / 2 ≈ 0.89 of the draws. On the neighbouring graph where
+  // 1998 gains utility, 1999 is the whole zero block, so that skew is a
+  // probability ratio of ≈ 0.89 / 0.23 ≈ 4 > e^1 between neighbours.
+  const CsrGraph g = MakeTwoNodeZeroBlockFixture();
+  CommonNeighborsUtility cn;
+  const UtilityVector u = cn.Compute(g, 0);
+  ASSERT_EQ(u.num_zero(), 2u);
+  ASSERT_EQ(u.nonzero().size(), 1996u);
+  Rng rng(2000);
+  constexpr int kDraws = 20000;
+  int low = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    auto node = ResolveZeroUtilityNode(g, u, rng);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    ASSERT_TRUE(*node == 1998 || *node == 1999) << *node;
+    low += *node == 1998;
+  }
+  // Binomial(20000, 1/2): sd ≈ 70.7, so ±5 sd is [9646, 10354].
+  const double sd = std::sqrt(kDraws * 0.25);
+  EXPECT_NEAR(low, kDraws / 2.0, 5 * sd);
+  EXPECT_NEAR(kDraws - low, kDraws / 2.0, 5 * sd);
+}
+
+TEST(ResolveZeroNodeTest, ListPicksAreDistinctAndLeaveTheBitmapAtRest) {
+  const CsrGraph g = MakeTwoNodeZeroBlockFixture();
+  CommonNeighborsUtility cn;
+  const UtilityVector u = cn.Compute(g, 0);
+  // Oversized, all-zero scratch (as a workspace bitmap that once served a
+  // larger graph would be).
+  std::vector<uint64_t> bits(64, 0);
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Recommendation> picks = {
+        {kUnresolvedZeroNode, 0.0, true},
+        {5, 1.0, false},
+        {kUnresolvedZeroNode, 0.0, true}};
+    ASSERT_TRUE(ResolveZeroPicks(g, u, picks, rng, bits).ok());
+    EXPECT_NE(picks[0].node, picks[2].node);
+    EXPECT_TRUE(picks[0].node == 1998 || picks[0].node == 1999);
+    EXPECT_TRUE(picks[2].node == 1998 || picks[2].node == 1999);
+    EXPECT_EQ(picks[1].node, 5u);
+    ASSERT_EQ(bits.size(), 64u);
+    for (uint64_t word : bits) ASSERT_EQ(word, 0u);
+  }
+  // A third zero pick has nowhere to go: refused, bitmap still at rest.
+  std::vector<Recommendation> too_many(3, {kUnresolvedZeroNode, 0.0, true});
+  EXPECT_TRUE(ResolveZeroPicks(g, u, too_many, rng, bits).IsInternal());
+  for (uint64_t word : bits) EXPECT_EQ(word, 0u);
 }
 
 }  // namespace

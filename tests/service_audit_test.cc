@@ -475,6 +475,33 @@ TEST(AdaptiveAllocationTest, StaysWithinBudgetAndConcentratesTrials) {
   EXPECT_LT(min_trials, uniform_share);
 }
 
+TEST(AdaptiveAllocationTest, RefusesABudgetThatStarvesPaths) {
+  // 3 trials over 4 rounds and the 4 default paths: round 1's slice is one
+  // trial, so three paths would never run and would still report ε̂ = 0
+  // with no evidence behind it.
+  ServiceAuditOptions options = FixtureAuditOptions();
+  options.trials_per_side = 0;
+  options.adaptive_rounds = 4;
+  auto audit_with_budget = [&](uint64_t budget) {
+    options.total_trial_budget = budget;
+    ServiceAuditor auditor(
+        [] { return std::make_unique<HalvedSensitivityCn>(); }, options);
+    return auditor.AuditPair(FixturePair(), /*target=*/0);
+  };
+  auto starved = audit_with_budget(3);
+  ASSERT_FALSE(starved.ok());
+  EXPECT_TRUE(starved.status().IsInvalidArgument())
+      << starved.status().ToString();
+  // 12 = four rounds of 3: still one trial short in round 1.
+  EXPECT_TRUE(audit_with_budget(12).status().IsInvalidArgument());
+  // 13 gives round 1 ceil(13 / 4) = 4 trials, one per path.
+  auto fed = audit_with_budget(13);
+  ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+  for (const PathEpsilonEstimate& estimate : fed->per_path) {
+    EXPECT_GT(estimate.trials_per_side, 0u) << estimate.path;
+  }
+}
+
 TEST(AdaptiveAllocationTest, FixedSeedReproducesAdaptiveAudit) {
   ServiceAuditOptions options = FixtureAuditOptions();
   options.total_trial_budget = 1600;

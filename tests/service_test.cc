@@ -2,6 +2,7 @@
 // graph mutation, and node-DP audit integration.
 
 #include <memory>
+#include <vector>
 
 #include "core/exponential_mechanism.h"
 #include "eval/dp_auditor.h"
@@ -214,6 +215,118 @@ TEST(ServiceTest, NoSnapshotRebuildOnUnmutatedGraph) {
   EXPECT_EQ(graph.snapshot_builds(), 1u);
   EXPECT_EQ(graph.snapshot_patches(), 1u);
   EXPECT_NE(graph.SharedSnapshot().get(), snapshot.get());
+}
+
+// ------------------------------------------------- shared scratch bitmap
+
+/// Common neighbours whose every Compute on the serving shard's workspace
+/// is checked against a Compute on a fresh workspace. Zero-block
+/// resolution marks its excluded set in that workspace's kernel bitmap; a
+/// bit it left behind would make the shard's kernels drop a candidate.
+class FreshCheckedCommonNeighbors final : public CommonNeighborsUtility {
+ public:
+  FreshCheckedCommonNeighbors(uint64_t* computes, uint64_t* mismatches)
+      : computes_(computes), mismatches_(mismatches) {}
+
+  using UtilityFunction::Compute;
+  UtilityVector Compute(const CsrGraph& graph, NodeId target,
+                        UtilityWorkspace& workspace) const override {
+    UtilityVector shared =
+        CommonNeighborsUtility::Compute(graph, target, workspace);
+    UtilityWorkspace fresh;
+    const UtilityVector expected =
+        CommonNeighborsUtility::Compute(graph, target, fresh);
+    ++*computes_;
+    bool same = shared.num_candidates() == expected.num_candidates() &&
+                shared.nonzero().size() == expected.nonzero().size();
+    for (size_t i = 0; same && i < shared.nonzero().size(); ++i) {
+      same = shared.nonzero()[i].node == expected.nonzero()[i].node &&
+             shared.nonzero()[i].utility == expected.nonzero()[i].utility;
+    }
+    if (!same) ++*mismatches_;
+    return shared;
+  }
+
+ private:
+  uint64_t* computes_;
+  uint64_t* mismatches_;
+};
+
+bool IsZeroUtilityPick(const CsrGraph& view, NodeId user, NodeId pick) {
+  const UtilityVector utilities = CommonNeighborsUtility().Compute(view, user);
+  for (const UtilityEntry& e : utilities.nonzero()) {
+    if (e.node == pick) return false;
+  }
+  return true;
+}
+
+void ExpectBitmapRestsBetweenServes(PrivacyModel model) {
+  // Uniform ids: the degree-capped projection keeps each node's smallest
+  // neighbour ids, so a hub-first generator would fold every kNode
+  // neighbourhood into the bitmap's first words.
+  Rng gen_rng(41);
+  auto g = ErdosRenyiGnm(600, 1500, /*directed=*/false, gen_rng);
+  ASSERT_TRUE(g.ok());
+  DynamicGraph graph(*g);
+  ServiceOptions options;
+  options.release_epsilon = 1.0;
+  options.per_user_budget = 1e6;
+  options.num_shards = 1;
+  // One cached entry: every change of user is a miss, so each Compute
+  // runs on the workspace the previous serve's resolution just used.
+  options.cache_capacity = 1;
+  options.privacy_model = model;
+  options.degree_cap = 4;
+  uint64_t computes = 0, mismatches = 0;
+  RecommendationService service(
+      &graph,
+      std::make_unique<FreshCheckedCommonNeighbors>(&computes, &mismatches),
+      options);
+  std::vector<NodeId> users = {0, 1, 2, 3, 5, 8, 13, 21, 34, 55};
+  Rng rng(43);
+  uint64_t zero_picks = 0;
+  auto drive = [&](int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      for (NodeId user : users) {
+        const auto snap = graph.VersionedSnapshot();
+        const CsrGraph& view = model == PrivacyModel::kNode && snap.projected
+                                   ? *snap.projected
+                                   : *snap.graph;
+        auto pick = service.ServeRecommendation(user, rng);
+        ASSERT_TRUE(pick.ok()) << pick.status().ToString();
+        zero_picks += IsZeroUtilityPick(view, user, *pick);
+        if (round % 4 == 0) {
+          auto list = service.ServeList(user, 5, rng);
+          ASSERT_TRUE(list.ok()) << list.status().ToString();
+          for (const Recommendation& rec : list->picks) {
+            zero_picks += IsZeroUtilityPick(view, user, rec.node);
+          }
+        }
+      }
+    }
+  };
+  drive(20);
+  // Grow the id range past a bitmap word boundary and serve a new node
+  // linked into the graph, so its zero block reaches the new ids.
+  for (int i = 0; i < 70; ++i) graph.AddNode();
+  const NodeId grown = graph.num_nodes() - 1;
+  for (NodeId v : {NodeId{0}, NodeId{1}, NodeId{600}, NodeId{650}}) {
+    ASSERT_TRUE(service.AddEdge(grown, v).ok());
+  }
+  users.push_back(grown);
+  drive(20);
+  EXPECT_GT(zero_picks, 200u) << "computes " << computes;
+  EXPECT_GT(computes, 200u) << "zero picks " << zero_picks;
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(ServiceTest, ZeroBlockResolutionLeavesTheKernelBitmapAtRest) {
+  ExpectBitmapRestsBetweenServes(PrivacyModel::kEdge);
+}
+
+TEST(ServiceTest, NodeDpZeroBlockResolutionLeavesTheKernelBitmapAtRest) {
+  // Under kNode the resolver excludes the PROJECTED view's neighbours.
+  ExpectBitmapRestsBetweenServes(PrivacyModel::kNode);
 }
 
 // ---------------------------------------------------------- node-DP audit
